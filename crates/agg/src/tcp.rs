@@ -980,7 +980,6 @@ mod tests {
     use crate::shard::AggConfig;
     use crate::wal::DurOptions;
     use ppp_ir::{BlockId, EdgeRef, FunctionBuilder, ModuleEdgeProfile, ModulePathProfile, Reg};
-    use std::path::PathBuf;
 
     fn test_module() -> Arc<Module> {
         let mut m = Module::new();
@@ -1013,15 +1012,6 @@ mod tests {
         let server = Server::spawn(listener, Arc::clone(&service), test_resolver(m), options)
             .expect("spawn");
         (server, service)
-    }
-
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/ppp-scratch/tcp-unit")
-            .join(tag);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir
     }
 
     fn one_delta(m: &Module) -> (ModuleEdgeProfile, ModulePathProfile) {
@@ -1158,14 +1148,15 @@ mod tests {
     #[test]
     fn resilient_sink_survives_kill_and_restart_without_double_counting() {
         let m = test_module();
-        let dir = scratch("kill-restart");
+        let tmp = ppp_obs::Scratch::new("tcp-kill-restart").expect("scratch dir");
+        let dir = tmp.path();
         let make_service = || {
             AggService::new_durable(
                 AggConfig {
                     shards: 2,
                     queue_cap: 8,
                 },
-                DurOptions::new(&dir, 4),
+                DurOptions::new(dir, 4),
             )
         };
         let spawn = |service: &Arc<AggService>| {
@@ -1240,7 +1231,8 @@ mod tests {
     #[test]
     fn graceful_shutdown_acks_in_flight_and_checkpoints() {
         let m = test_module();
-        let dir = scratch("graceful");
+        let tmp = ppp_obs::Scratch::new("tcp-graceful").expect("scratch dir");
+        let dir = tmp.path();
         let service = AggService::new_durable(
             AggConfig {
                 shards: 2,
@@ -1248,7 +1240,7 @@ mod tests {
             },
             // checkpoint_every = 0: only explicit checkpoints, so the
             // file below can only come from the shutdown path.
-            DurOptions::new(&dir, 0),
+            DurOptions::new(dir, 0),
         );
         let server = Server::spawn(
             TcpListener::bind("127.0.0.1:0").expect("bind"),
@@ -1273,7 +1265,7 @@ mod tests {
         client.into_sink().wait_ack().expect("done ack");
         server.shutdown();
         assert!(
-            crate::wal::checkpoint_path(&dir, "tcp-test").exists(),
+            crate::wal::checkpoint_path(dir, "tcp-test").exists(),
             "graceful shutdown wrote a checkpoint"
         );
 
@@ -1283,7 +1275,7 @@ mod tests {
                 shards: 2,
                 queue_cap: 8,
             },
-            DurOptions::new(&dir, 0),
+            DurOptions::new(dir, 0),
         );
         let agg = service2.register("tcp-test", &m).expect("recover");
         let (edges, _) = agg.snapshot();

@@ -404,15 +404,6 @@ mod tests {
     use super::*;
     use ppp_ir::wire::encode_seq_payload;
 
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/ppp-scratch/wal-unit")
-            .join(tag);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir
-    }
-
     #[test]
     fn bench_names_cannot_escape_the_directory() {
         assert_eq!(safe_stem("mcf"), "mcf");
@@ -423,8 +414,9 @@ mod tests {
 
     #[test]
     fn wal_append_scan_roundtrip_and_torn_tail() {
-        let dir = scratch("torn-tail");
-        let path = wal_path(&dir, "t");
+        let tmp = ppp_obs::Scratch::new("wal-torn-tail").expect("scratch dir");
+        let dir = tmp.path();
+        let path = wal_path(dir, "t");
         let frame = encode_frame(
             FrameKind::SeqEdgeDelta,
             &encode_seq_payload(1, 1, b"payload"),
@@ -454,7 +446,7 @@ mod tests {
         assert!(scan.damage.is_none());
 
         // Missing files scan clean and empty.
-        let scan = scan_wal(&wal_path(&dir, "absent")).expect("scan absent");
+        let scan = scan_wal(&wal_path(dir, "absent")).expect("scan absent");
         assert!(scan.frames.is_empty() && scan.torn_bytes == 0);
     }
 }

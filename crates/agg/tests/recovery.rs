@@ -12,7 +12,7 @@ use ppp_ir::wire::decode_frame;
 use ppp_ir::{write_edge_profile_v2, write_path_profile_v2, Frame, FrameKind, Module};
 use ppp_vm::{run, RunOptions, SplitMix64};
 use ppp_workloads::{generate, spec2000_suite};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
 const SCALE: f64 = 0.02;
@@ -50,15 +50,7 @@ fn client_stream(bench: &str, module: &Arc<Module>, deltas: &[ppp_vm::ProfileDel
     client.into_sink().0
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/ppp-scratch/recovery")
-        .join(tag);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn durable(bench: &str, module: &Arc<Module>, shards: usize, dir: &PathBuf) -> Aggregator {
+fn durable(bench: &str, module: &Arc<Module>, shards: usize, dir: &Path) -> Aggregator {
     let (agg, _) = Aggregator::recover(
         bench,
         Arc::clone(module),
@@ -80,7 +72,7 @@ fn crash_and_recover(
     module: &Arc<Module>,
     frames: &[Frame],
     shards: usize,
-    dir: &PathBuf,
+    dir: &Path,
     prefix: usize,
     torn_bytes: u64,
 ) -> (String, String, u64) {
@@ -147,7 +139,9 @@ fn recovery_is_byte_identical_at_every_crash_point() {
 
         let mut rng = SplitMix64::new(0xC0FFEE ^ name.len() as u64);
         for shards in [1usize, 2, 8] {
-            let dir = scratch(&format!("{name}-{shards}"));
+            let tmp =
+                ppp_obs::Scratch::new(&format!("recovery-{name}-{shards}")).expect("scratch dir");
+            let dir = tmp.path();
             // Crash points: every checkpoint boundary, plus two seeded
             // mid-interval points, plus the empty and full prefixes.
             let mut prefixes: Vec<usize> = (0..=frames.len())
@@ -158,7 +152,7 @@ fn recovery_is_byte_identical_at_every_crash_point() {
             }
             prefixes.dedup();
             for &prefix in &prefixes {
-                let (e, p, _) = crash_and_recover(name, &module, &frames, shards, &dir, prefix, 0);
+                let (e, p, _) = crash_and_recover(name, &module, &frames, shards, dir, prefix, 0);
                 assert_eq!(
                     e, edge_bytes,
                     "{name} {shards} shards: edges after crash at frame {prefix}"
@@ -173,7 +167,7 @@ fn recovery_is_byte_identical_at_every_crash_point() {
                 let prefix = 1 + (rng.next_u64() % frames.len() as u64) as usize;
                 let torn = 1 + rng.next_u64() % 64;
                 let (e, p, _) =
-                    crash_and_recover(name, &module, &frames, shards, &dir, prefix, torn);
+                    crash_and_recover(name, &module, &frames, shards, dir, prefix, torn);
                 assert_eq!(
                     e, edge_bytes,
                     "{name} {shards} shards: edges after torn tail ({torn}B) at frame {prefix}"
@@ -206,13 +200,14 @@ fn full_resend_after_recovery_is_fully_deduplicated() {
         .filter(|f| matches!(f.kind, FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta))
         .count() as u64;
 
-    let dir = scratch("double-replay");
-    let (e1, p1, d1) = crash_and_recover("mcf", &module, &frames, 2, &dir, frames.len(), 0);
+    let tmp = ppp_obs::Scratch::new("recovery-double-replay").expect("scratch dir");
+    let dir = tmp.path();
+    let (e1, p1, d1) = crash_and_recover("mcf", &module, &frames, 2, dir, frames.len(), 0);
     assert_eq!(d1, seq_frames, "everything resent was deduplicated");
 
     // And replaying a third time over the *same* recovered state —
     // without another crash — still changes nothing.
-    let agg = durable("mcf", &module, 2, &dir);
+    let agg = durable("mcf", &module, 2, dir);
     let mut d2 = 0u64;
     for f in &frames {
         if agg.ingest_frame(f).expect("replay") == IngestOutcome::Duplicate {

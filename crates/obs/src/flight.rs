@@ -171,6 +171,19 @@ pub fn install_flight(dir: impl Into<PathBuf>, capacity: usize) -> Arc<FlightRec
     recorder
 }
 
+/// Removes the installed flight recorder, if any. The global context
+/// gets back the sink it had before [`install_flight`], unless a fresh
+/// context was installed since, and [`flight_dump`] writes nothing.
+pub fn uninstall_flight() {
+    let mut st = flight_cell().lock().expect("flight state lock");
+    if let Some(prev) = st.take() {
+        let cur = global();
+        if Arc::ptr_eq(&cur.sink(), &prev.tee) {
+            install_global(cur.with_sink(prev.base));
+        }
+    }
+}
+
 /// The installed recorder, if any.
 pub fn flight_recorder() -> Option<Arc<FlightRecorder>> {
     flight_cell()
@@ -195,7 +208,17 @@ pub fn flight_dump(reason: &str) -> Option<PathBuf> {
         .collect();
     let path = s.dir.join(format!("flight-{stem}.json"));
     std::fs::create_dir_all(&s.dir).ok()?;
-    std::fs::write(&path, doc).ok()?;
+    // Write aside and rename, so a reader never sees a half-written dump.
+    // Dumps in one process are serialized by the state lock; the pid
+    // keeps other processes' temporaries apart.
+    let tmp = s
+        .dir
+        .join(format!(".flight-{stem}.{}.tmp", std::process::id()));
+    std::fs::write(&tmp, doc).ok()?;
+    if std::fs::rename(&tmp, &path).is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return None;
+    }
     ctx.metrics().inc(crate::names::FLIGHT_DUMPS, &[]);
     Some(path)
 }

@@ -49,17 +49,19 @@ pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod names;
+pub mod scratch;
 pub mod sink;
 pub mod span;
 
 pub use flight::{
-    flight_dump, flight_recorder, install_flight, FlightRecorder, TeeSink, DEFAULT_FLIGHT_CAPACITY,
-    FLIGHT_SCHEMA,
+    flight_dump, flight_recorder, install_flight, uninstall_flight, FlightRecorder, TeeSink,
+    DEFAULT_FLIGHT_CAPACITY, FLIGHT_SCHEMA,
 };
 pub use metrics::{
     Histogram, MetricKey, MetricValue, Registry, HISTOGRAM_BUCKETS, LABEL_OTHER,
     MAX_LABEL_CARDINALITY,
 };
+pub use scratch::Scratch;
 pub use sink::{
     CollectSink, JsonLinesSink, Level, NoopSink, Obs, Record, RecordKind, TextSink, Value,
 };

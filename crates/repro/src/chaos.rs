@@ -251,16 +251,6 @@ impl std::io::Read for StallReader<'_> {
     }
 }
 
-/// Scratch directory (inside `target/`) for one durable chaos
-/// scenario, wiped before use.
-fn chaos_scratch(prep: &PreparedBenchmark, site: FaultSite, seed: u64) -> std::path::PathBuf {
-    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/ppp-scratch/chaos")
-        .join(format!("{}-{}-{seed}", prep.name, site.name()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Runs the merged snapshot of `agg` through the ingestion ladder with
 /// `extra` report entries attached.
 fn ladder_from_aggregator(
@@ -537,8 +527,10 @@ pub fn chaos_scenario(
             // its *entire* stream, as a resuming client would. Exactly
             // the uncrashed snapshot must come out: nothing lost,
             // nothing double-counted.
-            let dir = chaos_scratch(prep, site, seed);
-            let dur = DurOptions::new(&dir, 1);
+            // A directory of its own, so concurrent sweeps never share
+            // a WAL; removed when the scenario ends.
+            let scratch =
+                ppp_obs::Scratch::new(&format!("chaos-{}-{}-{seed}", prep.name, site.name()));
             let config = AggConfig {
                 shards: 2,
                 queue_cap: 8,
@@ -549,6 +541,10 @@ pub fn chaos_scenario(
             let mut entries: Vec<(&str, String)> = Vec::new();
             let mut force_fail = false;
             let crash_recover = || -> Result<(Aggregator, String), String> {
+                let dir = scratch
+                    .as_ref()
+                    .map_err(|e| format!("scratch directory: {e}"))?;
+                let dur = DurOptions::new(dir.path(), 1);
                 let (agg, _) =
                     Aggregator::recover(&prep.name, Arc::clone(&module_arc), config, dur.clone())?;
                 for f in &frames[..delivered] {
@@ -1071,6 +1067,7 @@ mod tests {
 
     #[test]
     fn chaos_sweep_upholds_the_contract_on_one_benchmark() {
+        let _obs = crate::obs_test_lock();
         let suite = spec2000_suite();
         let entry = suite.iter().find(|e| e.spec.name == "mcf").unwrap();
         let options = tiny();
@@ -1130,10 +1127,8 @@ mod tests {
     fn serve_tier_faults_leave_flight_recorder_dumps() {
         use ppp_obs::json::{self, Json};
         let _obs = crate::obs_test_lock();
-        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/ppp-scratch/chaos-flight");
-        let _ = std::fs::remove_dir_all(&dir);
-        ppp_obs::install_flight(&dir, 128);
+        let dir = ppp_obs::Scratch::new("chaos-flight").expect("scratch dir");
+        ppp_obs::install_flight(dir.path(), 128);
         let suite = spec2000_suite();
         let entry = suite.iter().find(|e| e.spec.name == "mcf").unwrap();
         let options = tiny();
@@ -1162,10 +1157,13 @@ mod tests {
         // Sites outside the serve tier never write dumps.
         let o = chaos_scenario(&prep, FaultSite::SaturateCounters, 701, &options);
         assert_eq!(o.flight_dump, None);
+        // Later dumps must not land in (and re-create) the removed dir.
+        ppp_obs::uninstall_flight();
     }
 
     #[test]
     fn chaos_is_deterministic() {
+        let _obs = crate::obs_test_lock();
         let suite = spec2000_suite();
         let entry = suite.iter().find(|e| e.spec.name == "mcf").unwrap();
         let options = tiny();
@@ -1177,6 +1175,7 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_byte_identical_to_sequential() {
+        let _obs = crate::obs_test_lock();
         // The --workers contract: fan-out changes wall-clock only.
         let sequential = PipelineOptions {
             scale: 0.01,
@@ -1196,6 +1195,7 @@ mod tests {
 
     #[test]
     fn renderers_cover_every_scenario() {
+        let _obs = crate::obs_test_lock();
         let suite = spec2000_suite();
         let entry = suite.iter().find(|e| e.spec.name == "mcf").unwrap();
         let options = tiny();

@@ -800,20 +800,12 @@ mod tests {
         assert!(r.transport == "tcp");
     }
 
-    fn scratch(tag: &str) -> std::path::PathBuf {
-        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/ppp-scratch/drive-unit")
-            .join(tag);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir
-    }
-
     #[test]
     fn kill_after_recovers_byte_identically_with_no_double_counts() {
         let _obs = crate::obs_test_lock();
         let mut options = tiny(Transport::Tcp);
-        options.checkpoint_dir = Some(scratch("kill-after"));
+        let wal = ppp_obs::Scratch::new("drive-kill-after").expect("scratch dir");
+        options.checkpoint_dir = Some(wal.path().to_owned());
         options.checkpoint_every = 4;
         options.kill_after = Some(3);
         let r = drive(Some("mcf"), &options).expect("drive completes");
@@ -836,10 +828,12 @@ mod tests {
     fn killed_server_leaves_a_parseable_flight_recorder_dump() {
         use ppp_obs::json::{self, Json};
         let _obs = crate::obs_test_lock();
-        let dump_dir = scratch("flight-kill");
-        ppp_obs::install_flight(&dump_dir, 256);
+        let dump = ppp_obs::Scratch::new("drive-flight-kill").expect("scratch dir");
+        let dump_dir = dump.path();
+        ppp_obs::install_flight(dump_dir, 256);
         let mut options = tiny(Transport::Tcp);
-        options.checkpoint_dir = Some(scratch("flight-kill-wal"));
+        let wal = ppp_obs::Scratch::new("drive-flight-kill-wal").expect("scratch dir");
+        options.checkpoint_dir = Some(wal.path().to_owned());
         options.checkpoint_every = 4;
         options.kill_after = Some(3);
         let r = drive(Some("mcf"), &options).expect("drive completes");
@@ -863,6 +857,8 @@ mod tests {
         );
         // …and the registry snapshot rode along.
         assert!(v.get("registry").is_some());
+        // Later dumps must not land in (and re-create) the removed dir.
+        ppp_obs::uninstall_flight();
     }
 
     #[test]

@@ -86,7 +86,9 @@ pub use trace::{trace_benchmark, trace_benchmark_json};
 /// Serializes tests that touch process-global observation state (the
 /// global context, its metrics registry, the flight recorder): one
 /// binary runs them on parallel threads, and a swap-install mid-drive
-/// would split records across registries.
+/// would split records across registries. Chaos sweeps take it too:
+/// their crash-restart scenarios fsync a WAL, and those latencies would
+/// land in a drive test's measurement window.
 #[cfg(test)]
 pub(crate) fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

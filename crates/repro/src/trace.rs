@@ -51,15 +51,23 @@ fn replay_aggregation(ctx: &ObsCtx, entry: &SuiteEntry, options: &PipelineOption
     // scratch directory, a checkpoint is cut, and a second service
     // recovers from the artifacts — so the `ppp_wal_*` durability
     // metrics land in the trace dump alongside the rest.
-    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/ppp-scratch/trace")
-        .join(&entry.spec.name);
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = match ppp_obs::Scratch::new(&format!("trace-{}", entry.spec.name)) {
+        Ok(s) => s,
+        Err(e) => {
+            span.event(
+                ppp_obs::Level::Error,
+                "agg.replay_failed",
+                &[("error", ppp_obs::Value::from(e.to_string()))],
+            );
+            return;
+        }
+    };
+    let dir = scratch.path();
     let config = AggConfig {
         shards: 2,
         ..AggConfig::default()
     };
-    let service = AggService::new_durable(config, DurOptions::new(&dir, 8));
+    let service = AggService::new_durable(config, DurOptions::new(dir, 8));
     let stream = || -> Result<(), String> {
         let agg = service.register(&entry.spec.name, &module)?;
         let hello = Hello {
@@ -80,7 +88,7 @@ fn replay_aggregation(ctx: &ObsCtx, entry: &SuiteEntry, options: &PipelineOption
         client.finish()?;
         let _ = agg.snapshot();
         service.checkpoint_all()?;
-        let recovered = AggService::new_durable(config, DurOptions::new(&dir, 8));
+        let recovered = AggService::new_durable(config, DurOptions::new(dir, 8));
         recovered.register(&entry.spec.name, &module)?;
         Ok(())
     };

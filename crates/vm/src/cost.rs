@@ -9,7 +9,7 @@
 //! about **five times** an array update (§3.2), and a poison check adds one
 //! comparison (§4.6).
 
-use ppp_ir::{Inst, ProfOp, Terminator};
+use ppp_ir::ProfOp;
 
 /// Per-operation costs, in abstract units.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,30 +51,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Cost of a non-profiling instruction.
-    ///
-    /// Profiling ops are *not* charged here: their cost depends on the
-    /// backing table kind, which the interpreter resolves via
-    /// [`CostModel::prof_cost`].
-    pub fn inst_cost(&self, inst: &Inst) -> u64 {
-        match inst {
-            Inst::Const { .. }
-            | Inst::Copy { .. }
-            | Inst::Unary { .. }
-            | Inst::Binary { .. }
-            | Inst::Emit { .. } => self.basic,
-            Inst::Load { .. } | Inst::Store { .. } => self.memory,
-            Inst::Rand { .. } => self.rand,
-            Inst::Call { .. } => self.call,
-            Inst::Prof(_) => 0,
-        }
-    }
-
-    /// Cost of a terminator.
-    pub fn term_cost(&self, _term: &Terminator) -> u64 {
-        self.terminator
-    }
-
     /// Cost of a profiling op given whether its table is hash-backed.
     pub fn prof_cost(&self, op: ProfOp, table_is_hash: bool) -> u64 {
         let count = if table_is_hash {
@@ -95,7 +71,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppp_ir::{Reg, TableId};
+    use ppp_ir::TableId;
 
     #[test]
     fn default_ratios_match_paper() {
@@ -129,12 +105,5 @@ mod tests {
             ),
             c.count_hash + c.poison_check
         );
-    }
-
-    #[test]
-    fn prof_insts_not_double_charged() {
-        let c = CostModel::default();
-        assert_eq!(c.inst_cost(&Inst::Prof(ProfOp::SetR { value: 0 })), 0);
-        assert_eq!(c.inst_cost(&Inst::Emit { src: Reg(0) }), c.basic);
     }
 }

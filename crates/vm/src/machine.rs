@@ -3,15 +3,18 @@
 //! A small register-machine interpreter over [`ppp_ir`] modules with an
 //! explicit frame stack (no host recursion), a deterministic input stream,
 //! a cost model, optional exact tracing, and profile counter storage for
-//! instrumented code.
+//! instrumented code. Each run first lowers the module into one flat
+//! array of pre-decoded ops, so the loop never looks up a function, a
+//! block or a table kind, and keeps every activation's registers in one
+//! arena, so a call allocates nothing.
 
 use crate::cost::CostModel;
 use crate::rng::SplitMix64;
 use crate::storage::ProfileStore;
 use crate::trace::{PathCursor, TraceFaults, Tracer};
 use ppp_ir::{
-    BlockId, EdgeRef, FuncId, Inst, Module, ModuleEdgeProfile, ModulePathProfile, ProfOp, Reg,
-    Terminator,
+    BinOp, BlockId, EdgeRef, FuncId, Inst, Module, ModuleEdgeProfile, ModulePathProfile, ProfOp,
+    Terminator, UnOp,
 };
 use std::fmt;
 
@@ -217,13 +220,225 @@ impl RunResult {
     }
 }
 
+/// Sentinel register index: a call that discards its result, or a
+/// `return` without a value.
+const NO_REG: u32 = u32::MAX;
+
+/// One operation of the lowered form: an [`Inst`] or a [`Terminator`]
+/// with registers as plain indices, jump targets resolved to code
+/// offsets, and profiling costs resolved from the table kinds.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Const {
+        dst: u32,
+        value: i64,
+    },
+    Copy {
+        dst: u32,
+        src: u32,
+    },
+    Unary {
+        dst: u32,
+        op: UnOp,
+        src: u32,
+    },
+    Binary {
+        dst: u32,
+        op: BinOp,
+        lhs: u32,
+        rhs: u32,
+    },
+    Load {
+        dst: u32,
+        addr: u32,
+    },
+    Store {
+        addr: u32,
+        src: u32,
+    },
+    Rand {
+        dst: u32,
+        bound: u32,
+    },
+    Emit {
+        src: u32,
+    },
+    /// Argument registers are `pool[args..args + argc]`.
+    Call {
+        dst: u32,
+        callee: u32,
+        args: u32,
+        argc: u32,
+    },
+    Prof {
+        op: ProfOp,
+        cost: u64,
+    },
+    Jump {
+        target: BlockId,
+        pc: u32,
+    },
+    Branch {
+        cond: u32,
+        then_target: BlockId,
+        then_pc: u32,
+        else_target: BlockId,
+        else_pc: u32,
+    },
+    /// In-range targets are `pool[targets..targets + len]`; the default
+    /// follows them.
+    Switch {
+        disc: u32,
+        targets: u32,
+        len: u32,
+    },
+    Return {
+        value: u32,
+    },
+}
+
+/// A module lowered for execution: every function's blocks laid out in
+/// one code array, each block's instructions followed by its terminator.
+struct Program {
+    code: Vec<Op>,
+    /// Call arguments (registers) and switch targets (blocks).
+    pool: Vec<u32>,
+    funcs: Vec<LoweredFn>,
+}
+
+struct LoweredFn {
+    /// `block_pc[b]` is the offset in `code` of block `b`'s first op.
+    block_pc: Vec<u32>,
+    entry: BlockId,
+    reg_count: u32,
+}
+
+impl Program {
+    fn lower(module: &Module, cost: &CostModel) -> Self {
+        let mut p = Program {
+            code: Vec::with_capacity(module.size()),
+            pool: Vec::new(),
+            funcs: Vec::with_capacity(module.functions.len()),
+        };
+        for f in &module.functions {
+            let mut block_pc = Vec::with_capacity(f.blocks.len());
+            let mut pc = p.code.len();
+            for b in &f.blocks {
+                block_pc.push(u32::try_from(pc).expect("code fits u32 offsets"));
+                pc += b.len_with_term();
+            }
+            let pc_of = |b: BlockId| block_pc[b.index()];
+            for b in &f.blocks {
+                for inst in &b.insts {
+                    let op = match inst {
+                        Inst::Const { dst, value } => Op::Const {
+                            dst: dst.0,
+                            value: *value,
+                        },
+                        Inst::Copy { dst, src } => Op::Copy {
+                            dst: dst.0,
+                            src: src.0,
+                        },
+                        Inst::Unary { dst, op, src } => Op::Unary {
+                            dst: dst.0,
+                            op: *op,
+                            src: src.0,
+                        },
+                        Inst::Binary { dst, op, lhs, rhs } => Op::Binary {
+                            dst: dst.0,
+                            op: *op,
+                            lhs: lhs.0,
+                            rhs: rhs.0,
+                        },
+                        Inst::Load { dst, addr } => Op::Load {
+                            dst: dst.0,
+                            addr: addr.0,
+                        },
+                        Inst::Store { addr, src } => Op::Store {
+                            addr: addr.0,
+                            src: src.0,
+                        },
+                        Inst::Rand { dst, bound } => Op::Rand {
+                            dst: dst.0,
+                            bound: bound.0,
+                        },
+                        Inst::Emit { src } => Op::Emit { src: src.0 },
+                        Inst::Call { dst, callee, args } => {
+                            let at = p.pool.len() as u32;
+                            p.pool.extend(args.iter().map(|r| r.0));
+                            Op::Call {
+                                dst: dst.map_or(NO_REG, |r| r.0),
+                                callee: callee.0,
+                                args: at,
+                                argc: args.len() as u32,
+                            }
+                        }
+                        Inst::Prof(op) => {
+                            let is_hash =
+                                op.table().is_some_and(|t| module.table(t).kind.is_hash());
+                            Op::Prof {
+                                op: *op,
+                                cost: cost.prof_cost(*op, is_hash),
+                            }
+                        }
+                    };
+                    p.code.push(op);
+                }
+                let op = match &b.term {
+                    Terminator::Jump { target } => Op::Jump {
+                        target: *target,
+                        pc: pc_of(*target),
+                    },
+                    Terminator::Branch {
+                        cond,
+                        then_target,
+                        else_target,
+                    } => Op::Branch {
+                        cond: cond.0,
+                        then_target: *then_target,
+                        then_pc: pc_of(*then_target),
+                        else_target: *else_target,
+                        else_pc: pc_of(*else_target),
+                    },
+                    Terminator::Switch {
+                        disc,
+                        targets,
+                        default,
+                    } => {
+                        let at = p.pool.len() as u32;
+                        p.pool.extend(targets.iter().chain([default]).map(|b| b.0));
+                        Op::Switch {
+                            disc: disc.0,
+                            targets: at,
+                            len: targets.len() as u32,
+                        }
+                    }
+                    Terminator::Return { value } => Op::Return {
+                        value: value.map_or(NO_REG, |r| r.0),
+                    },
+                };
+                p.code.push(op);
+            }
+            p.funcs.push(LoweredFn {
+                block_pc,
+                entry: f.entry,
+                reg_count: f.reg_count,
+            });
+        }
+        p
+    }
+}
+
+/// A suspended activation. The running one's position lives in the
+/// interpreter loop's locals and is written back only when it calls.
 struct Frame {
     func: FuncId,
     block: BlockId,
-    inst: usize,
-    regs: Vec<i64>,
+    pc: usize,
+    /// Offset of the activation's registers in the register arena.
+    base: usize,
     path_r: i64,
-    ret_dst: Option<Reg>,
+    ret_dst: u32,
     cursor: Option<PathCursor>,
 }
 
@@ -278,6 +493,9 @@ struct Interp<'m> {
     store: ProfileStore,
     tracer: Option<Tracer>,
     stack: Vec<Frame>,
+    /// Every activation's registers, innermost last; its length is the
+    /// innermost activation's base plus its register count.
+    arena: Vec<i64>,
 }
 
 impl<'m> Interp<'m> {
@@ -308,14 +526,27 @@ impl<'m> Interp<'m> {
                 t
             }),
             stack: Vec::new(),
+            arena: Vec::new(),
         }
     }
 
-    fn push_frame(&mut self, func: FuncId, args: &[i64], ret_dst: Option<Reg>) {
-        let f = self.module.function(func);
-        let mut regs = vec![0i64; f.reg_count as usize];
-        let n = args.len().min(regs.len());
-        regs[..n].copy_from_slice(&args[..n]);
+    /// Enters `func`, copying the caller's registers `args` (read at
+    /// `caller_base`) into its first registers.
+    fn push_frame(
+        &mut self,
+        prog: &Program,
+        func: FuncId,
+        caller_base: usize,
+        args: &[u32],
+        ret_dst: u32,
+    ) {
+        let f = &prog.funcs[func.index()];
+        let base = self.arena.len();
+        let n = f.reg_count as usize;
+        self.arena.resize(base + n, 0);
+        for (i, &a) in args.iter().take(n).enumerate() {
+            self.arena[base + i] = self.arena[caller_base + a as usize];
+        }
         let cursor = self
             .tracer
             .as_mut()
@@ -324,8 +555,8 @@ impl<'m> Interp<'m> {
         self.stack.push(Frame {
             func,
             block: f.entry,
-            inst: 0,
-            regs,
+            pc: f.block_pc[f.entry.index()] as usize,
+            base,
             path_r: 0,
             ret_dst,
             cursor,
@@ -333,8 +564,9 @@ impl<'m> Interp<'m> {
     }
 
     fn run(mut self, entry: FuncId) -> RunResult {
-        self.push_frame(entry, &[], None);
-        let halt = self.exec_loop();
+        let prog = Program::lower(self.module, &self.opts.cost);
+        self.push_frame(&prog, entry, 0, &[], NO_REG);
+        let halt = self.exec(&prog);
         let (edge_profile, path_profile, path_sequence, trace_events_dropped, deltas) =
             match self.tracer {
                 Some(t) => {
@@ -361,179 +593,220 @@ impl<'m> Interp<'m> {
         }
     }
 
-    fn exec_loop(&mut self) -> HaltReason {
-        loop {
-            if self.steps >= self.opts.max_steps {
-                return HaltReason::StepLimit;
-            }
-            let frame = self.stack.last_mut().expect("non-empty stack in loop");
-            let func = frame.func;
-            let f = self.module.function(func);
-            let block = f.block(frame.block);
-            if frame.inst < block.insts.len() {
-                let idx = frame.inst;
-                frame.inst += 1;
-                // Clone-free access: instructions are small; `Call` carries
-                // a Vec but is read-only here.
-                let inst = &block.insts[idx];
-                self.steps += 1;
-                match inst {
-                    Inst::Prof(op) => {
-                        self.prof_steps += 1;
-                        let c = self.opts.cost.prof_cost(*op, self.table_is_hash(*op));
-                        self.cost += c;
-                        self.prof_cost += c;
-                        self.exec_prof(*op);
-                    }
-                    Inst::Call { dst, callee, args } => {
-                        self.cost += self.opts.cost.call;
-                        if self.stack.len() >= self.opts.max_call_depth {
-                            return HaltReason::CallDepthLimit;
-                        }
-                        let frame = self.stack.last().expect("frame");
-                        let argv: Vec<i64> = args.iter().map(|r| frame.regs[r.index()]).collect();
-                        let (dst, callee) = (*dst, *callee);
-                        self.push_frame(callee, &argv, dst);
-                    }
-                    other => {
-                        self.cost += self.opts.cost.inst_cost(other);
-                        self.exec_simple(other);
-                    }
-                }
-            } else {
-                self.steps += 1;
-                self.cost += self.opts.cost.term_cost(&block.term);
-                match &block.term {
-                    Terminator::Return { value } => {
-                        let frame = self.stack.last().expect("frame");
-                        let v = value.map_or(0, |r| frame.regs[r.index()]);
-                        let frame = self.stack.pop().expect("frame");
-                        if let (Some(t), Some(c)) = (self.tracer.as_mut(), frame.cursor) {
-                            t.exit_function(frame.func, c);
-                        }
-                        match self.stack.last_mut() {
-                            None => return HaltReason::Finished,
-                            Some(parent) => {
-                                if let Some(dst) = frame.ret_dst {
-                                    parent.regs[dst.index()] = v;
-                                }
-                            }
-                        }
-                    }
-                    term => {
-                        let frame = self.stack.last().expect("frame");
-                        let s = match term {
-                            Terminator::Jump { .. } => 0,
-                            Terminator::Branch { cond, .. } => {
-                                usize::from(frame.regs[cond.index()] == 0)
-                            }
-                            Terminator::Switch { disc, targets, .. } => {
-                                let v = frame.regs[disc.index()];
-                                if v >= 0 && (v as usize) < targets.len() {
-                                    v as usize
-                                } else {
-                                    targets.len()
-                                }
-                            }
-                            Terminator::Return { .. } => unreachable!("handled above"),
-                        };
-                        let target = term.successor(s).expect("selected successor exists");
-                        let edge = EdgeRef::new(frame.block, s);
-                        let frame = self.stack.last_mut().expect("frame");
-                        frame.block = target;
-                        frame.inst = 0;
-                        if let (Some(t), Some(c)) = (self.tracer.as_mut(), frame.cursor.as_mut()) {
-                            t.take_edge(func, c, edge, target);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn table_is_hash(&self, op: ProfOp) -> bool {
-        op.table()
-            .map(|t| self.module.table(t).kind.is_hash())
-            .unwrap_or(false)
-    }
-
-    fn exec_prof(&mut self, op: ProfOp) {
-        let frame = self.stack.last_mut().expect("frame");
-        match op {
-            ProfOp::SetR { value } => frame.path_r = value,
-            ProfOp::AddR { value } => frame.path_r = frame.path_r.wrapping_add(value),
-            ProfOp::CountR { table } => {
-                let r = frame.path_r;
-                self.store.table_mut(table).bump(r);
-            }
-            ProfOp::CountRPlus { table, addend } => {
-                let r = frame.path_r.wrapping_add(addend);
-                self.store.table_mut(table).bump(r);
-            }
-            ProfOp::CountConst { table, index } => {
-                self.store.table_mut(table).bump(index);
-            }
-            ProfOp::CountRChecked { table } => {
-                let r = frame.path_r;
-                let t = self.store.table_mut(table);
-                if r < 0 {
-                    t.bump_cold();
-                } else {
-                    t.bump(r);
-                }
-            }
-            ProfOp::CountRPlusChecked { table, addend } => {
-                let r = frame.path_r;
-                let t = self.store.table_mut(table);
-                if r < 0 {
-                    t.bump_cold();
-                } else {
-                    t.bump(r.wrapping_add(addend));
-                }
-            }
-        }
-    }
-
-    fn exec_simple(&mut self, inst: &Inst) {
+    /// The interpreter loop. Steps and costs are counted per op, so a
+    /// budget can stop a run anywhere inside a block.
+    fn exec(&mut self, prog: &Program) -> HaltReason {
+        let CostModel {
+            basic,
+            memory,
+            rand,
+            call,
+            terminator,
+            ..
+        } = self.opts.cost;
+        let (max_steps, max_depth) = (self.opts.max_steps, self.opts.max_call_depth);
         let mem_len = self.mem.len() as i64;
-        let frame = self.stack.last_mut().expect("frame");
-        match inst {
-            Inst::Const { dst, value } => frame.regs[dst.index()] = *value,
-            Inst::Copy { dst, src } => frame.regs[dst.index()] = frame.regs[src.index()],
-            Inst::Unary { dst, op, src } => {
-                frame.regs[dst.index()] = op.eval(frame.regs[src.index()]);
+        // Addresses wrap Euclidean; for a power-of-two size that is a mask.
+        let mask = (mem_len.count_ones() == 1).then_some(mem_len - 1);
+        let wrap = |a: i64| match mask {
+            Some(m) => (a & m) as usize,
+            None => a.rem_euclid(mem_len) as usize,
+        };
+        let (mut steps, mut cost, mut prof_steps, mut prof_cost, mut checksum) = (
+            self.steps,
+            self.cost,
+            self.prof_steps,
+            self.prof_cost,
+            self.checksum,
+        );
+        let halt = 'frames: loop {
+            let top = self.stack.last().expect("non-empty stack in loop");
+            let (func, base) = (top.func, top.base);
+            let (mut pc, mut block, mut path_r, mut cursor) =
+                (top.pc, top.block, top.path_r, top.cursor);
+            let block_pc = &prog.funcs[func.index()].block_pc;
+            let regs = &mut self.arena[base..];
+            loop {
+                if steps >= max_steps {
+                    break 'frames HaltReason::StepLimit;
+                }
+                steps += 1;
+                let op = prog.code[pc];
+                pc += 1;
+                // Terminators set `(successor index, target, target pc)`;
+                // every other op continues straight on.
+                let (s, target, to) = match op {
+                    Op::Const { dst, value } => {
+                        cost += basic;
+                        regs[dst as usize] = value;
+                        continue;
+                    }
+                    Op::Copy { dst, src } => {
+                        cost += basic;
+                        regs[dst as usize] = regs[src as usize];
+                        continue;
+                    }
+                    Op::Unary { dst, op, src } => {
+                        cost += basic;
+                        regs[dst as usize] = op.eval(regs[src as usize]);
+                        continue;
+                    }
+                    Op::Binary { dst, op, lhs, rhs } => {
+                        cost += basic;
+                        regs[dst as usize] = op.eval(regs[lhs as usize], regs[rhs as usize]);
+                        continue;
+                    }
+                    Op::Load { dst, addr } => {
+                        cost += memory;
+                        regs[dst as usize] = self.mem[wrap(regs[addr as usize])];
+                        continue;
+                    }
+                    Op::Store { addr, src } => {
+                        cost += memory;
+                        self.mem[wrap(regs[addr as usize])] = regs[src as usize];
+                        continue;
+                    }
+                    Op::Rand { dst, bound } => {
+                        cost += rand;
+                        regs[dst as usize] = self.rng.below(regs[bound as usize]);
+                        continue;
+                    }
+                    Op::Emit { src } => {
+                        cost += basic;
+                        checksum = checksum
+                            .rotate_left(13)
+                            .wrapping_add(regs[src as usize] as u64 ^ 0x9E37_79B9_7F4A_7C15);
+                        continue;
+                    }
+                    Op::Prof { op, cost: c } => {
+                        prof_steps += 1;
+                        cost += c;
+                        prof_cost += c;
+                        match op {
+                            ProfOp::SetR { value } => path_r = value,
+                            ProfOp::AddR { value } => path_r = path_r.wrapping_add(value),
+                            ProfOp::CountR { table } => self.store.table_mut(table).bump(path_r),
+                            ProfOp::CountRPlus { table, addend } => {
+                                self.store
+                                    .table_mut(table)
+                                    .bump(path_r.wrapping_add(addend));
+                            }
+                            ProfOp::CountConst { table, index } => {
+                                self.store.table_mut(table).bump(index);
+                            }
+                            ProfOp::CountRChecked { table } => {
+                                let t = self.store.table_mut(table);
+                                if path_r < 0 {
+                                    t.bump_cold();
+                                } else {
+                                    t.bump(path_r);
+                                }
+                            }
+                            ProfOp::CountRPlusChecked { table, addend } => {
+                                let t = self.store.table_mut(table);
+                                if path_r < 0 {
+                                    t.bump_cold();
+                                } else {
+                                    t.bump(path_r.wrapping_add(addend));
+                                }
+                            }
+                        }
+                        continue;
+                    }
+                    Op::Call {
+                        dst,
+                        callee,
+                        args,
+                        argc,
+                    } => {
+                        cost += call;
+                        if self.stack.len() >= max_depth {
+                            break 'frames HaltReason::CallDepthLimit;
+                        }
+                        let top = self.stack.last_mut().expect("frame");
+                        (top.pc, top.block, top.path_r, top.cursor) = (pc, block, path_r, cursor);
+                        let args = &prog.pool[args as usize..(args + argc) as usize];
+                        self.push_frame(prog, FuncId(callee), base, args, dst);
+                        continue 'frames;
+                    }
+                    Op::Return { value } => {
+                        cost += terminator;
+                        let v = if value == NO_REG {
+                            0
+                        } else {
+                            regs[value as usize]
+                        };
+                        let done = self.stack.pop().expect("frame");
+                        if let (Some(t), Some(c)) = (self.tracer.as_mut(), cursor) {
+                            t.exit_function(func, c);
+                        }
+                        self.arena.truncate(base);
+                        match self.stack.last() {
+                            None => break 'frames HaltReason::Finished,
+                            Some(parent) => {
+                                if done.ret_dst != NO_REG {
+                                    self.arena[parent.base + done.ret_dst as usize] = v;
+                                }
+                                continue 'frames;
+                            }
+                        }
+                    }
+                    Op::Jump { target, pc } => (0, target, pc),
+                    Op::Branch {
+                        cond,
+                        then_target,
+                        then_pc,
+                        else_target,
+                        else_pc,
+                    } => {
+                        if regs[cond as usize] != 0 {
+                            (0, then_target, then_pc)
+                        } else {
+                            (1, else_target, else_pc)
+                        }
+                    }
+                    Op::Switch { disc, targets, len } => {
+                        let v = regs[disc as usize];
+                        let s = if v >= 0 && v < i64::from(len) {
+                            v as u32
+                        } else {
+                            len
+                        };
+                        let target = BlockId(prog.pool[(targets + s) as usize]);
+                        (s, target, block_pc[target.index()])
+                    }
+                };
+                cost += terminator;
+                if let (Some(t), Some(c)) = (self.tracer.as_mut(), cursor.as_mut()) {
+                    t.take_edge(
+                        func,
+                        c,
+                        EdgeRef {
+                            from: block,
+                            succ: s,
+                        },
+                        target,
+                    );
+                }
+                block = target;
+                pc = to as usize;
             }
-            Inst::Binary { dst, op, lhs, rhs } => {
-                frame.regs[dst.index()] = op.eval(frame.regs[lhs.index()], frame.regs[rhs.index()]);
-            }
-            Inst::Load { dst, addr } => {
-                let a = frame.regs[addr.index()].rem_euclid(mem_len) as usize;
-                frame.regs[dst.index()] = self.mem[a];
-            }
-            Inst::Store { addr, src } => {
-                let a = frame.regs[addr.index()].rem_euclid(mem_len) as usize;
-                self.mem[a] = frame.regs[src.index()];
-            }
-            Inst::Rand { dst, bound } => {
-                let b = frame.regs[bound.index()];
-                frame.regs[dst.index()] = self.rng.below(b);
-            }
-            Inst::Emit { src } => {
-                let v = frame.regs[src.index()] as u64;
-                self.checksum = self
-                    .checksum
-                    .rotate_left(13)
-                    .wrapping_add(v ^ 0x9E37_79B9_7F4A_7C15);
-            }
-            Inst::Call { .. } | Inst::Prof(_) => unreachable!("handled by exec_loop"),
-        }
+        };
+        (
+            self.steps,
+            self.cost,
+            self.prof_steps,
+            self.prof_cost,
+            self.checksum,
+        ) = (steps, cost, prof_steps, prof_cost, checksum);
+        halt
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppp_ir::{BinOp, FunctionBuilder, TableDecl, TableKind};
+    use ppp_ir::{FunctionBuilder, Reg, TableDecl, TableKind};
 
     fn module_one(f: ppp_ir::Function) -> Module {
         let mut m = Module::new();
@@ -775,6 +1048,213 @@ mod tests {
             r.store.table(t).iter_counts().collect::<Vec<_>>(),
             vec![(4, 1)]
         );
+    }
+
+    /// Runs `m` untraced and traced under `opts`, checks that tracing
+    /// changes none of the counters, and returns the traced result.
+    fn run_both(m: &Module, opts: RunOptions) -> RunResult {
+        let plain = run(m, "main", &opts).unwrap();
+        let traced = run(m, "main", &opts.traced()).unwrap();
+        assert_eq!(
+            (plain.halt, plain.steps, plain.cost, plain.calls),
+            (traced.halt, traced.steps, traced.cost, traced.calls)
+        );
+        assert_eq!(plain.checksum, traced.checksum);
+        traced
+    }
+
+    fn limited(max_steps: u64) -> RunOptions {
+        RunOptions {
+            max_steps,
+            ..RunOptions::default()
+        }
+    }
+
+    /// `main`: b0 = [const 5, call inc(r0), emit] jump b1; b1: ret.
+    /// `inc`: [const 1, add] ret.
+    fn call_then_jump() -> Module {
+        let mut m = Module::new();
+        let mut g = FunctionBuilder::new("inc", 1);
+        let p = g.param(0);
+        let one = g.constant(1);
+        let s = g.binary(BinOp::Add, p, one);
+        g.ret(Some(s));
+        let inc = m.add_function(g.finish());
+        let mut b = FunctionBuilder::new("main", 0);
+        let x = b.constant(5);
+        let y = b.call(inc, vec![x]);
+        b.emit(y);
+        let b1 = b.new_block();
+        b.jump(b1);
+        b.switch_to(b1);
+        b.ret(None);
+        m.add_function(b.finish());
+        m
+    }
+
+    #[test]
+    fn step_limit_mid_block_on_call_and_on_terminator() {
+        let m = call_then_jump();
+        let main = FuncId(1);
+        // (budget, steps, cost, calls): the full run is const, call, then
+        // inc's const, add, ret, then emit, jump, ret.
+        let cases = [
+            (1, 1, 1, 1), // stops mid-block, before the call
+            (2, 2, 4, 2), // the call is the last step: inc entered, nothing run
+            (4, 4, 6, 2), // stops mid-block inside the callee
+            (5, 5, 7, 2), // inc's return is the last step
+            (7, 7, 9, 2), // main's jump is the last step
+            (8, 8, 10, 2),
+        ];
+        for (budget, steps, cost, calls) in cases {
+            let r = run_both(&m, limited(budget));
+            let halt = if budget == 8 {
+                HaltReason::Finished
+            } else {
+                HaltReason::StepLimit
+            };
+            assert_eq!(
+                (r.halt, r.steps, r.cost, r.calls),
+                (halt, steps, cost, calls),
+                "budget {budget}"
+            );
+        }
+        // A budget that ends on the jump still records the edge taken.
+        let r = run_both(&m, limited(7));
+        let edges = r.edge_profile.unwrap();
+        assert_eq!(edges.func(main).edge(EdgeRef::new(BlockId(0), 0)), 1);
+        assert_eq!(edges.func(main).block(BlockId(1)), 1);
+        // A budget of one step less leaves it untaken.
+        let r = run_both(&m, limited(6));
+        assert_eq!(r.edge_profile.unwrap().func(main).block(BlockId(1)), 0);
+    }
+
+    #[test]
+    fn call_depth_limit_charges_the_refused_call() {
+        // main: [const 1, call main()] ret — each activation runs two
+        // steps costing 1 + 3 before recursing.
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("main", 0);
+        b.constant(1);
+        b.call_void(FuncId(0), vec![]);
+        b.ret(None);
+        m.add_function(b.finish());
+        let r = run_both(
+            &m,
+            RunOptions {
+                max_call_depth: 4,
+                ..RunOptions::default()
+            },
+        );
+        assert_eq!(r.halt, HaltReason::CallDepthLimit);
+        assert_eq!((r.steps, r.cost, r.calls), (8, 16, 4));
+        assert_eq!(r.edge_profile.unwrap().func(FuncId(0)).entries(), 4);
+        // No activation returned, so no path completed.
+        assert_eq!(r.path_profile.unwrap().func(FuncId(0)).total_unit_flow(), 0);
+    }
+
+    #[test]
+    fn extra_call_args_are_dropped_and_missing_ones_read_zero() {
+        let mut m = Module::new();
+        // first(a) = a, with one register only.
+        let mut g = FunctionBuilder::new("first", 1);
+        let p = g.param(0);
+        g.ret(Some(p));
+        let first = m.add_function(g.finish());
+        // third(a, b, c) = c.
+        let mut h = FunctionBuilder::new("third", 3);
+        let c = h.param(2);
+        h.ret(Some(c));
+        let third = m.add_function(h.finish());
+        let mut b = FunctionBuilder::new("main", 0);
+        let (x, y, z) = (b.constant(11), b.constant(22), b.constant(33));
+        let u = b.call(first, vec![x, y, z]);
+        b.emit(u);
+        let v = b.call(third, vec![x]);
+        b.emit(v);
+        b.ret(None);
+        m.add_function(b.finish());
+        let r = run_both(&m, RunOptions::default());
+        assert_eq!(r.halt, HaltReason::Finished);
+        // 3 consts, 2 calls (3 each), 2 emits, 3 returns.
+        assert_eq!((r.steps, r.cost, r.calls), (10, 14, 3));
+
+        let mut e = FunctionBuilder::new("main", 0);
+        let (a, zero) = (e.constant(11), e.constant(0));
+        e.emit(a);
+        e.emit(zero);
+        e.ret(None);
+        let expect = run(&module_one(e.finish()), "main", &RunOptions::default()).unwrap();
+        assert_eq!(r.checksum, expect.checksum);
+    }
+
+    #[test]
+    fn switch_out_of_range_discriminants_take_the_default() {
+        for (disc, succ) in [(-1, 2), (i64::MIN, 2), (2, 2), (i64::MAX, 2), (1, 1)] {
+            let mut b = FunctionBuilder::new("main", 0);
+            let (t0, t1, d) = (b.new_block(), b.new_block(), b.new_block());
+            let v = b.constant(disc);
+            b.switch(v, vec![t0, t1], d);
+            for (blk, out) in [(t0, 100), (t1, 200), (d, 300)] {
+                b.switch_to(blk);
+                let c = b.constant(out);
+                b.emit(c);
+                b.ret(None);
+            }
+            let m = module_one(b.finish());
+            let r = run_both(&m, RunOptions::default());
+            // const, switch, const, emit, ret.
+            assert_eq!((r.steps, r.cost), (5, 5), "disc {disc}");
+            let edges = r.edge_profile.unwrap();
+            assert_eq!(
+                edges.func(FuncId(0)).edge(EdgeRef::new(BlockId(0), succ)),
+                1,
+                "disc {disc}"
+            );
+            let mut e = FunctionBuilder::new("main", 0);
+            let c = e.constant([100, 200, 300][succ]);
+            e.emit(c);
+            e.ret(None);
+            let expect = run(&module_one(e.finish()), "main", &RunOptions::default()).unwrap();
+            assert_eq!(r.checksum, expect.checksum, "disc {disc}");
+        }
+    }
+
+    #[test]
+    fn negative_addresses_wrap_euclidean_in_odd_sized_memory() {
+        // With 7 words, -3, 4, 11 and -10 all name word 4.
+        let mut b = FunctionBuilder::new("main", 0);
+        let (a, v) = (b.constant(-3), b.constant(77));
+        b.store(a, v);
+        for addr in [4, 11, -10, -3] {
+            let p = b.constant(addr);
+            let l = b.load(p);
+            b.emit(l);
+        }
+        let (p, w) = (b.constant(i64::MIN), b.constant(5));
+        b.store(p, w); // i64::MIN mod 7 = 6
+        let q = b.constant(-1);
+        let l = b.load(q);
+        b.emit(l);
+        b.ret(None);
+        let m = module_one(b.finish());
+        let opts = RunOptions {
+            mem_words: 7,
+            ..RunOptions::default()
+        };
+        let r = run_both(&m, opts);
+        // 2 + 4×1 + 2 + 1 consts, 2 stores and 5 loads (2 each), 5 emits,
+        // one ret.
+        assert_eq!((r.steps, r.cost), (22, 29));
+        let mut e = FunctionBuilder::new("main", 0);
+        let (s, f) = (e.constant(77), e.constant(5));
+        for _ in 0..4 {
+            e.emit(s);
+        }
+        e.emit(f);
+        e.ret(None);
+        let expect = run(&module_one(e.finish()), "main", &opts).unwrap();
+        assert_eq!(r.checksum, expect.checksum);
     }
 
     #[test]

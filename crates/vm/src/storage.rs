@@ -101,11 +101,18 @@ impl CounterTable {
                 debug_assert!(n >= 3, "hash table needs at least 3 slots");
                 // Double hashing as in CLRS ch. 11 (the paper's citation
                 // [15]): h(k, i) = (h1 + i * h2) mod n, h2 coprime-ish.
-                let h1 = key % n;
+                // Since h2 < n, stepping by h2 and subtracting n once on
+                // overflow walks the same sequence without a modulo per
+                // probe.
+                let mut idx = key % n;
                 let h2 = 1 + key % (n - 2);
-                for i in 0..u64::from(*max_probes) {
-                    let idx = ((h1 + i * h2) % n) as usize;
-                    match &mut slots[idx] {
+                for _ in 0..*max_probes {
+                    let slot = &mut slots[idx as usize];
+                    idx += h2;
+                    if idx >= n {
+                        idx -= n;
+                    }
+                    match slot {
                         Some((k, c)) if *k == key => {
                             *c = c.saturating_add(count);
                             return;
@@ -351,6 +358,56 @@ mod tests {
             CounterTable::new(TableKind::Array { size: 4 }).collisions(),
             0
         );
+    }
+
+    #[test]
+    fn probe_walk_matches_the_double_hash_formula() {
+        // The textbook form, one modulo per probe: slot, collision and
+        // loss accounting must match it key for key.
+        fn reference(slots: &mut [Option<(u64, u64)>], key: u64) -> (u64, bool) {
+            let n = slots.len() as u64;
+            let (h1, h2) = (key % n, 1 + key % (n - 2));
+            let mut collisions = 0;
+            for i in 0..3 {
+                match &mut slots[((h1 + i * h2) % n) as usize] {
+                    Some((k, c)) if *k == key => {
+                        *c += 1;
+                        return (collisions, false);
+                    }
+                    Some(_) => collisions += 1,
+                    empty @ None => {
+                        *empty = Some((key, 1));
+                        return (collisions, false);
+                    }
+                }
+            }
+            (collisions, true)
+        }
+        for n in [3u64, 5, 13, 701] {
+            let mut t = CounterTable::new(TableKind::Hash {
+                slots: n,
+                max_probes: 3,
+            });
+            let mut slots = vec![None; n as usize];
+            let (mut collisions, mut lost) = (0, 0);
+            let mut key = 0x9E37_79B9_7F4A_7C15u64;
+            for _ in 0..4 * n {
+                key = key
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let k = (key >> 33) % (8 * n);
+                let (c, l) = reference(&mut slots, k);
+                collisions += c;
+                lost += u64::from(l);
+                t.bump(k as i64);
+            }
+            let CounterTable::Hash { slots: got, .. } = &t else {
+                unreachable!("hash table")
+            };
+            assert_eq!(got, &slots, "{n} slots");
+            assert_eq!(t.collisions(), collisions, "{n} slots");
+            assert_eq!(t.lost(), lost, "{n} slots");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The tracer observes every taken CFG edge and maintains, per activation,
 //! the current Ball–Larus path (started at function entry or a loop
 //! header, ended at a `return` or a taken back edge — §3.1). Paths are
-//! interned in a per-function trie so the per-edge cost is one hash lookup,
-//! and the full [`ModulePathProfile`] is reconstructed on demand.
+//! interned in a per-function trie whose nodes hold one child slot per
+//! successor of their block, so the per-edge cost is two array reads, and
+//! the full [`ModulePathProfile`] is reconstructed on demand.
 //!
 //! This is the reproduction's *reference* profile: unlike PP
 //! instrumentation it has no hash-table losses and no truncation, so
@@ -13,7 +14,9 @@
 use ppp_ir::{
     BlockId, Cfg, EdgeRef, FuncId, Function, Module, ModuleEdgeProfile, ModulePathProfile, PathKey,
 };
-use std::collections::HashMap;
+
+/// Sentinel for an absent trie node or child slot.
+const NONE: u32 = u32::MAX;
 
 /// Whether a taken edge is a back edge (ends the current path).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,8 +31,11 @@ pub enum EdgeKind {
 /// Precomputed per-function edge classification for the tracer.
 #[derive(Clone, Debug)]
 pub struct EdgeClassifier {
-    /// `kinds[block][succ]` mirrors the function's successor lists.
-    kinds: Vec<Vec<EdgeKind>>,
+    /// `first[b]` is the index in `kinds` of block `b`'s successor 0;
+    /// `first[blocks]` is the edge count.
+    first: Vec<u32>,
+    /// Edge kinds, block by block in successor order.
+    kinds: Vec<EdgeKind>,
 }
 
 impl EdgeClassifier {
@@ -38,43 +44,52 @@ impl EdgeClassifier {
     /// the natural-loop back edges).
     pub fn new(f: &Function) -> Self {
         let cfg = Cfg::new(f);
-        let kinds = f
-            .iter_blocks()
-            .map(|(id, b)| {
-                (0..b.term.successor_count())
-                    .map(|s| {
-                        let tgt = b.term.successor(s).expect("in-range successor");
-                        if cfg.is_retreating(id, tgt) {
-                            EdgeKind::Back
-                        } else {
-                            EdgeKind::Forward
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        Self { kinds }
+        let mut first = Vec::with_capacity(f.blocks.len() + 1);
+        let mut kinds = Vec::new();
+        for (id, b) in f.iter_blocks() {
+            first.push(kinds.len() as u32);
+            kinds.extend((0..b.term.successor_count()).map(|s| {
+                let tgt = b.term.successor(s).expect("in-range successor");
+                if cfg.is_retreating(id, tgt) {
+                    EdgeKind::Back
+                } else {
+                    EdgeKind::Forward
+                }
+            }));
+        }
+        first.push(kinds.len() as u32);
+        Self { first, kinds }
     }
 
     /// Kind of edge `(b, s)`.
     #[inline]
     pub fn kind(&self, e: EdgeRef) -> EdgeKind {
-        self.kinds[e.from.index()][e.succ_index()]
+        debug_assert!(e.succ < self.successor_count(e.from));
+        self.kinds[self.first[e.from.index()] as usize + e.succ_index()]
+    }
+
+    /// Number of successors of block `b`.
+    #[inline]
+    fn successor_count(&self, b: BlockId) -> u32 {
+        self.first[b.index() + 1] - self.first[b.index()]
     }
 }
 
 /// Path-interning trie for one function.
 ///
-/// Each node is a distinct path prefix; the per-edge transition is one
-/// `HashMap` lookup. Node 0 is unused; roots are created per start block.
-#[derive(Clone, Debug, Default)]
+/// Each node is a distinct path prefix ending in some block. The first
+/// step out of a node allocates one child slot per successor of that
+/// block, so a transition is a read of the node and a read of the slot
+/// its successor index names. Nodes are numbered in creation order, and
+/// a node is created on the first step that reaches it, so the numbering
+/// depends only on the order of the traced events.
+#[derive(Clone, Debug)]
 struct PathTrie {
-    /// Root state per start block.
-    roots: HashMap<BlockId, u32>,
-    /// `(state, edge) -> state` transitions.
-    trans: HashMap<(u32, EdgeRef), u32>,
-    /// Per-state data: parent state, incoming edge, start block, count of
-    /// paths *ending* at this state.
+    /// Root node per start block, or [`NONE`].
+    roots: Vec<u32>,
+    /// Child slots, in runs allocated per stepped-from node.
+    children: Vec<u32>,
+    /// Per-node data.
     nodes: Vec<TrieNode>,
 }
 
@@ -83,38 +98,69 @@ struct TrieNode {
     parent: u32,
     via: EdgeRef,
     start: BlockId,
+    /// The block the prefix ends in.
+    at: BlockId,
+    /// Start of this node's child-slot run, or [`NONE`] before its first
+    /// step.
+    first_child: u32,
+    /// Paths *ending* at this node.
     count: u64,
 }
 
 impl PathTrie {
+    fn new(f: &Function) -> Self {
+        Self {
+            roots: vec![NONE; f.blocks.len()],
+            children: Vec::new(),
+            nodes: Vec::new(),
+        }
+    }
+
     fn root(&mut self, start: BlockId) -> u32 {
-        if let Some(&s) = self.roots.get(&start) {
-            return s;
+        let slot = &mut self.roots[start.index()];
+        if *slot != NONE {
+            return *slot;
         }
         let id = self.nodes.len() as u32;
+        *slot = id;
         self.nodes.push(TrieNode {
-            parent: u32::MAX,
+            parent: NONE,
             via: EdgeRef::new(start, 0), // unused for roots
             start,
+            at: start,
+            first_child: NONE,
             count: 0,
         });
-        self.roots.insert(start, id);
         id
     }
 
-    fn step(&mut self, state: u32, edge: EdgeRef) -> u32 {
-        if let Some(&s) = self.trans.get(&(state, edge)) {
-            return s;
+    /// Steps from `state` along `edge`, which leaves the block `state`
+    /// ends in and has `succs` siblings, into `target`.
+    #[inline]
+    fn step(&mut self, state: u32, edge: EdgeRef, succs: u32, target: BlockId) -> u32 {
+        let node = &mut self.nodes[state as usize];
+        debug_assert_eq!(node.at, edge.from, "edge leaves the path's block");
+        if node.first_child == NONE {
+            node.first_child = self.children.len() as u32;
+            self.children
+                .resize(self.children.len() + succs as usize, NONE);
         }
+        let slot = node.first_child as usize + edge.succ_index();
+        let child = self.children[slot];
+        if child != NONE {
+            return child;
+        }
+        let start = node.start;
         let id = self.nodes.len() as u32;
-        let start = self.nodes[state as usize].start;
+        self.children[slot] = id;
         self.nodes.push(TrieNode {
             parent: state,
             via: edge,
             start,
+            at: target,
+            first_child: NONE,
             count: 0,
         });
-        self.trans.insert((state, edge), id);
         id
     }
 
@@ -126,7 +172,7 @@ impl PathTrie {
     fn key_of(&self, state: u32) -> PathKey {
         let mut edges = Vec::new();
         let mut cur = state;
-        while self.nodes[cur as usize].parent != u32::MAX {
+        while self.nodes[cur as usize].parent != NONE {
             let n = &self.nodes[cur as usize];
             edges.push(n.via);
             cur = n.parent;
@@ -184,11 +230,43 @@ struct DeltaState {
     tick: u64,
     /// Edge flow since the last cut.
     edges: ModuleEdgeProfile,
-    /// Per-function completed-path counts since the last cut, keyed by
-    /// trie state.
-    paths: Vec<HashMap<u32, u64>>,
+    /// Per-function completed-path counts since the last cut.
+    paths: Vec<StateCounts>,
     /// Finished raw cuts, resolved at `finish`.
-    cuts: Vec<(ModuleEdgeProfile, Vec<HashMap<u32, u64>>)>,
+    cuts: Vec<(ModuleEdgeProfile, CutPaths)>,
+}
+
+/// Per function, the `(trie state, count)` pairs of one cut.
+type CutPaths = Vec<Vec<(u32, u64)>>;
+
+/// Counts indexed by trie state, plus the states counted since the last
+/// drain.
+#[derive(Clone, Debug, Default)]
+struct StateCounts {
+    counts: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl StateCounts {
+    fn bump(&mut self, state: u32) {
+        let i = state as usize;
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        if self.counts[i] == 0 {
+            self.touched.push(state);
+        }
+        self.counts[i] = self.counts[i].saturating_add(1);
+    }
+
+    /// Takes every non-zero count, leaving all counts zero.
+    fn drain(&mut self) -> Vec<(u32, u64)> {
+        let counts = &mut self.counts;
+        self.touched
+            .drain(..)
+            .map(|s| (s, std::mem::take(&mut counts[s as usize])))
+            .collect()
+    }
 }
 
 impl DeltaState {
@@ -197,7 +275,7 @@ impl DeltaState {
             interval,
             tick: 0,
             edges: ModuleEdgeProfile::zeroed(module),
-            paths: vec![HashMap::new(); module.functions.len()],
+            paths: vec![StateCounts::default(); module.functions.len()],
             cuts: Vec::new(),
         }
     }
@@ -212,8 +290,7 @@ impl DeltaState {
         for f in &mut self.edges.funcs {
             f.zero();
         }
-        let n = self.paths.len();
-        let paths = std::mem::replace(&mut self.paths, vec![HashMap::new(); n]);
+        let paths = self.paths.iter_mut().map(StateCounts::drain).collect();
         self.cuts.push((edges, paths));
         self.tick = 0;
     }
@@ -279,7 +356,7 @@ impl Tracer {
         Self {
             edges: ModuleEdgeProfile::zeroed(module),
             classifiers: module.functions.iter().map(EdgeClassifier::new).collect(),
-            tries: vec![PathTrie::default(); module.functions.len()],
+            tries: module.functions.iter().map(PathTrie::new).collect(),
             sequence: None,
             faults: None,
             delta: None,
@@ -376,7 +453,8 @@ impl Tracer {
 
     /// Called when edge `e` of `func` is taken; `target` is the block the
     /// edge leads to. Updates the edge profile and advances (or ends and
-    /// restarts) the current path.
+    /// restarts) the current path. `e` must leave the block the cursor's
+    /// path has reached, as it does in any real execution.
     pub fn take_edge(
         &mut self,
         func: FuncId,
@@ -397,23 +475,23 @@ impl Tracer {
                 d.tick();
             }
         }
+        let classifier = &self.classifiers[func.index()];
+        let succs = classifier.successor_count(e.from);
+        let kind = classifier.kind(e);
         let trie = &mut self.tries[func.index()];
-        match self.classifiers[func.index()].kind(e) {
-            EdgeKind::Forward => {
-                cursor.state = trie.step(cursor.state, e);
-            }
+        let next = trie.step(cursor.state, e, succs, target);
+        match kind {
+            EdgeKind::Forward => cursor.state = next,
             EdgeKind::Back => {
                 // The back edge belongs to the ending path (it is its
                 // terminating branch), then a fresh path starts at the
                 // header.
-                let end_state = trie.step(cursor.state, e);
                 if !self.drop_path_event() {
-                    let trie = &mut self.tries[func.index()];
-                    trie.end_path(end_state);
+                    self.tries[func.index()].end_path(next);
                     if let Some(seq) = &mut self.sequence {
-                        seq.push((func, end_state));
+                        seq.push((func, next));
                     }
-                    self.delta_path(func, end_state);
+                    self.delta_path(func, next);
                 }
                 cursor.state = self.tries[func.index()].root(target);
             }
@@ -435,8 +513,7 @@ impl Tracer {
     /// Stages one path completion into the current delta cut.
     fn delta_path(&mut self, func: FuncId, state: u32) {
         if let Some(d) = &mut self.delta {
-            let c = d.paths[func.index()].entry(state).or_insert(0);
-            *c = c.saturating_add(1);
+            d.paths[func.index()].bump(state);
             d.tick();
         }
     }
@@ -486,11 +563,14 @@ impl Tracer {
         }
         // Cache state -> key resolution per function; shared by the
         // sequence and the delta cuts.
-        let mut cache: Vec<HashMap<u32, PathKey>> = vec![HashMap::new(); self.tries.len()];
+        let mut cache: Vec<Vec<Option<PathKey>>> = self
+            .tries
+            .iter()
+            .map(|t| vec![None; t.nodes.len()])
+            .collect();
         let mut resolve = |tries: &[PathTrie], fi: usize, state: u32| -> PathKey {
-            cache[fi]
-                .entry(state)
-                .or_insert_with(|| tries[fi].key_of(state))
+            cache[fi][state as usize]
+                .get_or_insert_with(|| tries[fi].key_of(state))
                 .clone()
         };
         let mut resolved = Vec::new();
