@@ -12,10 +12,11 @@
 //!    consistent cut (the front lock is held across the flush gate);
 //! 2. WAL records are appended *before* a delta is applied, so no
 //!    applied delta is ever unlogged;
-//! 3. replay goes through the same watermark dedup as live ingestion,
-//!    so deltas present in both checkpoint and WAL (a crash between
-//!    the checkpoint rename and the WAL truncate), or resent by a
-//!    retrying client, count exactly once.
+//! 3. replay goes through the same watermark dedup and the same
+//!    per-shard batch decode as live ingestion, so deltas present in
+//!    both checkpoint and WAL (a crash between the checkpoint rename
+//!    and the WAL truncate), or resent by a retrying client, count
+//!    exactly once.
 
 use crate::shard::{AggConfig, Aggregator, IngestOutcome};
 use crate::wal::{self, DurOptions, Wal};
@@ -93,7 +94,7 @@ impl Aggregator {
         for frame in &scan.frames {
             match frame.kind {
                 FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta => {
-                    match agg.apply_seq(frame, false) {
+                    match agg.apply_seq(frame.kind, &frame.payload, None, false) {
                         Ok(IngestOutcome::Applied) => report.replayed += 1,
                         Ok(IngestOutcome::Duplicate) => report.duplicates += 1,
                         Err(e) => return Err(format!("wal replay: {e}")),

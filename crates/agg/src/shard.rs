@@ -1,13 +1,18 @@
 //! The K-way sharded profile aggregator.
 //!
 //! One [`Aggregator`] owns the merged profile for one module. Incoming
-//! deltas are fanned to K shard threads over bounded queues
-//! ([`crate::queue::BoundedQueue`]); shard `k` merges exactly the
-//! functions with `func_id % K == k`, so every function is owned by one
-//! shard and per-function counts are never raced. Merging uses the
-//! saturating adds of [`ModuleEdgeProfile::merge`] /
-//! [`ModulePathProfile::merge`], which are commutative and associative —
-//! so the merged profile is independent of delta arrival order, and a
+//! deltas are decoded on the ingesting thread straight into one batch
+//! per shard ([`ppp_ir::decode_edge_delta`] /
+//! [`ppp_ir::decode_path_delta`]) and each batch goes to its shard
+//! thread over a bounded queue ([`crate::queue::BoundedQueue`]); shard
+//! `k` owns exactly the functions with `func_id % K == k`, so every
+//! function is owned by one shard and per-function counts are never
+//! raced. A batch holds only the functions the delta touches, and a
+//! shard adds it with the same saturating adds as
+//! [`ModuleEdgeProfile::merge`] / [`ModulePathProfile::merge`], moving
+//! path keys in rather than cloning them. The adds are commutative and
+//! associative — so the merged profile is independent of delta arrival
+//! order, and a
 //! [`Aggregator::snapshot`] (which assembles functions in id order) is
 //! **byte-identical** under persist_v2 serialization to a sequential
 //! single-worker merge of the same deltas.
@@ -20,11 +25,12 @@
 use crate::queue::BoundedQueue;
 use crate::wal::{self, DurOptions, Wal};
 use ppp_ir::wire::{
-    decode_frame, split_seq_payload, split_trace_context, Frame, FrameKind, WireError,
-    FRAME_HEADER_LEN,
+    decode_frame_ref, encode_frame, split_seq_payload, split_trace_context, Frame, FrameKind,
+    FrameRef, WireError,
 };
 use ppp_ir::{
-    read_edge_profile_v2, read_path_profile_v2, Module, ModuleEdgeProfile, ModulePathProfile,
+    decode_edge_delta, decode_path_delta, FuncEdgeDelta, FuncId, FuncPathDelta, Module,
+    ModuleEdgeProfile, ModulePathProfile,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -101,11 +107,17 @@ struct ShardState {
     paths: ModulePathProfile,
 }
 
+/// One shard's share of a delta: the functions it owns that the delta
+/// touches.
+enum Batch {
+    Edges(Vec<FuncEdgeDelta>),
+    Paths(Vec<FuncPathDelta>),
+}
+
 /// One message through a shard queue. Deltas carry their enqueue time
 /// so shards can account queue-wait latency.
 enum Msg {
-    Edges(Arc<ModuleEdgeProfile>, Instant),
-    Paths(Arc<ModulePathProfile>, Instant),
+    Delta(Batch, Instant),
     Flush(Arc<Gate>),
 }
 
@@ -216,7 +228,7 @@ impl Aggregator {
                 let bench = bench.to_owned();
                 std::thread::Builder::new()
                     .name(format!("agg-shard-{k}"))
-                    .spawn(move || shard_loop(k, shards, &queue, &state, &obs, &bench))
+                    .spawn(move || shard_loop(k, &queue, &state, &obs, &bench))
                     .expect("spawn shard thread")
             };
             queues.push(queue);
@@ -272,7 +284,14 @@ impl Aggregator {
                 ),
             });
         }
-        self.fan_out(Msg::Edges(Arc::new(delta), Instant::now()))
+        let mut batches = self.empty_batches();
+        for (i, p) in delta.funcs.iter().enumerate() {
+            if !p.is_zero() {
+                let k = batches.len();
+                batches[i % k].push(FuncEdgeDelta::from_profile(FuncId::new(i), p));
+            }
+        }
+        self.fan_out(batches.into_iter().map(Batch::Edges))
     }
 
     /// Submits a path-profile delta for merging (same contract as
@@ -292,24 +311,60 @@ impl Aggregator {
                 ),
             });
         }
-        self.fan_out(Msg::Paths(Arc::new(delta), Instant::now()))
+        let mut batches = self.empty_batches();
+        for (i, p) in delta.funcs.into_iter().enumerate() {
+            if !p.paths.is_empty() {
+                let k = batches.len();
+                batches[i % k].push(FuncPathDelta::from_profile(FuncId::new(i), p));
+            }
+        }
+        self.fan_out(batches.into_iter().map(Batch::Paths))
     }
 
-    fn fan_out(&self, msg: Msg) -> Result<(), IngestError> {
-        // One Arc'd delta goes to every shard; each merges only the
-        // functions it owns.
-        for q in &self.queues {
+    fn empty_batches<D>(&self) -> Vec<Vec<D>> {
+        self.queues.iter().map(|_| Vec::new()).collect()
+    }
+
+    /// Decodes a delta container into one batch per shard, refusing
+    /// anything the strict persist_v2 loaders refuse.
+    fn decode_batches(&self, kind: FrameKind, container: &[u8]) -> Result<Vec<Batch>, IngestError> {
+        let what = match kind {
+            FrameKind::EdgeDelta => "edge delta",
+            FrameKind::PathDelta => "path delta",
+            FrameKind::SeqEdgeDelta => "seq edge delta",
+            FrameKind::SeqPathDelta => "seq path delta",
+            other => {
+                return Err(IngestError {
+                    class: "protocol",
+                    detail: format!("{other} is not a sequenced delta"),
+                })
+            }
+        };
+        let shards = self.queues.len();
+        let batches = if matches!(kind, FrameKind::EdgeDelta | FrameKind::SeqEdgeDelta) {
+            decode_edge_delta(&self.module, container, shards)
+                .map(|b| b.into_iter().map(Batch::Edges).collect())
+        } else {
+            decode_path_delta(&self.module, container, shards)
+                .map(|b| b.into_iter().map(Batch::Paths).collect())
+        };
+        batches.map_err(|e| IngestError {
+            class: "payload",
+            detail: format!("{what}: {e}"),
+        })
+    }
+
+    /// Hands batch `k` to shard `k`. Every shard gets a batch, empty or
+    /// not, so per-shard merge counts do not depend on the delta.
+    fn fan_out(&self, batches: impl Iterator<Item = Batch>) -> Result<(), IngestError> {
+        let at = Instant::now();
+        for (q, batch) in self.queues.iter().zip(batches) {
             self.obs.metrics().observe(
                 "ppp_agg_queue_depth",
                 &[("bench", &self.bench)],
                 q.depth() as u64,
             );
-            let m = match &msg {
-                Msg::Edges(e, at) => Msg::Edges(Arc::clone(e), *at),
-                Msg::Paths(p, at) => Msg::Paths(Arc::clone(p), *at),
-                Msg::Flush(_) => unreachable!("fan_out is for deltas"),
-            };
-            if !q.push(m) {
+            if !q.push(Msg::Delta(batch, at)) {
                 return Err(IngestError {
                     class: "closed",
                     detail: "aggregator is shutting down".to_owned(),
@@ -319,19 +374,39 @@ impl Aggregator {
         Ok(())
     }
 
-    /// Decodes and ingests one wire frame.
+    /// Ingests one decoded wire frame. The WAL logs its re-encoding; a
+    /// receiver holding the verified bytes should call
+    /// [`Aggregator::ingest_received`] so they are logged as they are.
     ///
     /// # Errors
     ///
-    /// Refuses frames whose payload fails the strict persist_v2 loaders
-    /// or whose shape does not match the module, sequenced frames that
-    /// jump past the client's watermark (`seq-gap`), and server-side
-    /// frame kinds (`Ack`/`Reject`) arriving inbound. `Hello` payloads
-    /// are validated by the transport layer; here they are accepted as
-    /// opaque.
+    /// Refuses frames whose payload fails the strict persist_v2 loaders,
+    /// sequenced frames that jump past the client's watermark
+    /// (`seq-gap`), and server-side frame kinds (`Ack`/`Reject`)
+    /// arriving inbound. `Hello` payloads are validated by the transport
+    /// layer; here they are accepted as opaque.
     pub fn ingest_frame(&self, frame: &Frame) -> Result<IngestOutcome, IngestError> {
+        self.ingest(frame.kind, &frame.payload, None)
+    }
+
+    /// Ingests one verified frame as it arrived; a sequenced delta's WAL
+    /// record is exactly [`FrameRef::wire`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Aggregator::ingest_frame`].
+    pub fn ingest_received(&self, frame: FrameRef<'_>) -> Result<IngestOutcome, IngestError> {
+        self.ingest(frame.kind(), frame.payload(), Some(frame.wire()))
+    }
+
+    fn ingest(
+        &self,
+        kind: FrameKind,
+        payload: &[u8],
+        wire: Option<&[u8]>,
+    ) -> Result<IngestOutcome, IngestError> {
         let started = Instant::now();
-        let out = self.ingest_frame_inner(frame);
+        let out = self.ingest_inner(kind, payload, wire);
         self.obs.metrics().observe(
             ppp_obs::names::INGEST_MICROS,
             &[("bench", &self.bench)],
@@ -340,33 +415,25 @@ impl Aggregator {
         out
     }
 
-    fn ingest_frame_inner(&self, frame: &Frame) -> Result<IngestOutcome, IngestError> {
-        match frame.kind {
+    fn ingest_inner(
+        &self,
+        kind: FrameKind,
+        payload: &[u8],
+        wire: Option<&[u8]>,
+    ) -> Result<IngestOutcome, IngestError> {
+        match kind {
             FrameKind::Hello | FrameKind::Done => Ok(IngestOutcome::Applied),
-            FrameKind::EdgeDelta => {
-                let profile = read_edge_profile_v2(&self.module, &frame.payload).map_err(|e| {
-                    IngestError {
-                        class: "payload",
-                        detail: format!("edge delta: {e}"),
-                    }
-                })?;
-                self.submit_edges(profile)?;
+            FrameKind::EdgeDelta | FrameKind::PathDelta => {
+                let batches = self.decode_batches(kind, payload)?;
+                self.fan_out(batches.into_iter())?;
                 Ok(IngestOutcome::Applied)
             }
-            FrameKind::PathDelta => {
-                let profile = read_path_profile_v2(&self.module, &frame.payload).map_err(|e| {
-                    IngestError {
-                        class: "payload",
-                        detail: format!("path delta: {e}"),
-                    }
-                })?;
-                self.submit_paths(profile)?;
-                Ok(IngestOutcome::Applied)
+            FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta => {
+                self.apply_seq(kind, payload, wire, true)
             }
-            FrameKind::SeqEdgeDelta | FrameKind::SeqPathDelta => self.apply_seq(frame, true),
             FrameKind::Ack | FrameKind::Reject | FrameKind::StatsResponse => Err(IngestError {
                 class: "protocol",
-                detail: format!("{} frames flow server-to-client only", frame.kind),
+                detail: format!("{kind} frames flow server-to-client only"),
             }),
             FrameKind::StatsRequest => Err(IngestError {
                 class: "protocol",
@@ -380,13 +447,20 @@ impl Aggregator {
     /// Core of sequenced ingestion: dedup against the client watermark,
     /// append to the WAL (when `log` — recovery replays with `log =
     /// false`), then fan out, all under the front lock so a concurrent
-    /// checkpoint sees a consistent (profiles, watermarks) cut.
-    pub(crate) fn apply_seq(&self, frame: &Frame, log: bool) -> Result<IngestOutcome, IngestError> {
-        let (client, seq, container) =
-            split_seq_payload(&frame.payload).map_err(|e| IngestError {
-                class: "payload",
-                detail: format!("seq header: {e}"),
-            })?;
+    /// checkpoint sees a consistent (profiles, watermarks) cut. `wire`
+    /// is the frame as received, when the caller has it: the WAL
+    /// appends those bytes, and re-encodes the frame only without them.
+    pub(crate) fn apply_seq(
+        &self,
+        kind: FrameKind,
+        payload: &[u8],
+        wire: Option<&[u8]>,
+        log: bool,
+    ) -> Result<IngestOutcome, IngestError> {
+        let (client, seq, container) = split_seq_payload(payload).map_err(|e| IngestError {
+            class: "payload",
+            detail: format!("seq header: {e}"),
+        })?;
         if seq == 0 {
             return Err(IngestError {
                 class: "payload",
@@ -407,38 +481,9 @@ impl Aggregator {
             s.set("seq", seq);
             s
         });
-        // Decode and shape-check the container before touching any
-        // durable state: a damaged payload must be refused, not logged.
-        let msg = match frame.kind {
-            FrameKind::SeqEdgeDelta => {
-                let profile =
-                    read_edge_profile_v2(&self.module, container).map_err(|e| IngestError {
-                        class: "payload",
-                        detail: format!("seq edge delta: {e}"),
-                    })?;
-                if !profile.shape_matches(&self.module) {
-                    return Err(IngestError {
-                        class: "shape-mismatch",
-                        detail: "seq edge delta shape does not match module".to_owned(),
-                    });
-                }
-                Msg::Edges(Arc::new(profile), Instant::now())
-            }
-            FrameKind::SeqPathDelta => {
-                let profile =
-                    read_path_profile_v2(&self.module, container).map_err(|e| IngestError {
-                        class: "payload",
-                        detail: format!("seq path delta: {e}"),
-                    })?;
-                Msg::Paths(Arc::new(profile), Instant::now())
-            }
-            other => {
-                return Err(IngestError {
-                    class: "protocol",
-                    detail: format!("{other} is not a sequenced delta"),
-                })
-            }
-        };
+        // Decode the container before touching any durable state: a
+        // damaged payload must be refused, not logged.
+        let batches = self.decode_batches(kind, container)?;
         let mut front = self.front.lock().expect("front lock");
         let watermark = front.watermarks.get(&client).copied().unwrap_or(0);
         if seq <= watermark {
@@ -458,7 +503,11 @@ impl Aggregator {
         }
         if log {
             if let Some(wal) = front.wal.as_mut() {
-                if let Err(e) = wal.append(&frame.encode()) {
+                let appended = match wire {
+                    Some(bytes) => wal.append(bytes),
+                    None => wal.append(&encode_frame(kind, payload)),
+                };
+                if let Err(e) = appended {
                     // Never apply what was not logged: losing the WAL
                     // loses the durability contract, so the delta is
                     // refused and the client retries (or fails loudly).
@@ -478,7 +527,7 @@ impl Aggregator {
         let due = front.dur.as_ref().is_some_and(|d| {
             d.checkpoint_every > 0 && front.since_checkpoint >= d.checkpoint_every
         });
-        let fanned = self.fan_out(msg);
+        let fanned = self.fan_out(batches.into_iter());
         drop(front);
         fanned?;
         if due {
@@ -610,22 +659,23 @@ impl Aggregator {
         let metrics = self.obs.metrics();
         let bench: &str = &self.bench;
         while pos < bytes.len() {
-            match decode_frame(&bytes[pos..]) {
+            match decode_frame_ref(&bytes[pos..]) {
                 Ok((frame, used)) => {
-                    match self.ingest_frame(&frame) {
+                    match self.ingest_received(frame) {
                         Ok(IngestOutcome::Applied) => {
-                            report.bump(frame.kind);
-                            report.bytes_accepted += frame.payload.len() as u64;
+                            let payload = frame.payload().len() as u64;
+                            report.bump(frame.kind());
+                            report.bytes_accepted += payload;
                             metrics.inc(
                                 "ppp_agg_frames_ingested_total",
-                                &[("bench", bench), ("kind", frame.kind.name())],
+                                &[("bench", bench), ("kind", frame.kind().name())],
                             );
                             metrics.inc_by(
                                 "ppp_agg_bytes_ingested_total",
                                 &[("bench", bench)],
-                                (used - FRAME_HEADER_LEN) as u64,
+                                payload,
                             );
-                            if frame.kind == FrameKind::Done {
+                            if frame.kind() == FrameKind::Done {
                                 report.saw_done = true;
                             }
                         }
@@ -717,10 +767,10 @@ impl Drop for Aggregator {
     }
 }
 
-/// Body of one shard thread: drain the queue, merge owned functions.
+/// Body of one shard thread: drain the queue, add each batch into the
+/// owned functions' accumulators.
 fn shard_loop(
     k: usize,
-    shards: usize,
     queue: &BoundedQueue<Msg>,
     state: &Mutex<ShardState>,
     obs: &ppp_obs::ObsCtx,
@@ -729,25 +779,21 @@ fn shard_loop(
     let shard_label = k.to_string();
     while let Some(msg) = queue.pop() {
         match msg {
-            Msg::Edges(delta, enqueued) => {
+            Msg::Delta(batch, enqueued) => {
                 record_queue_wait(obs, bench, enqueued);
                 let started = Instant::now();
                 let mut st = state.lock().expect("shard state lock");
-                for fid in (k..delta.funcs.len()).step_by(shards) {
-                    if !delta.funcs[fid].is_zero() {
-                        st.edges.funcs[fid].merge(&delta.funcs[fid]);
+                match batch {
+                    Batch::Edges(deltas) => {
+                        for d in &deltas {
+                            st.edges.funcs[d.func().index()].add_delta(d);
+                        }
                     }
-                }
-                drop(st);
-                record_merge(obs, bench, &shard_label, started);
-            }
-            Msg::Paths(delta, enqueued) => {
-                record_queue_wait(obs, bench, enqueued);
-                let started = Instant::now();
-                let mut st = state.lock().expect("shard state lock");
-                for fid in (k..delta.funcs.len()).step_by(shards) {
-                    if !delta.funcs[fid].paths.is_empty() {
-                        st.paths.funcs[fid].merge(&delta.funcs[fid]);
+                    Batch::Paths(deltas) => {
+                        for d in deltas {
+                            let i = d.func().index();
+                            st.paths.funcs[i].absorb(d);
+                        }
                     }
                 }
                 drop(st);
@@ -782,7 +828,7 @@ fn record_merge(obs: &ppp_obs::ObsCtx, bench: &str, shard: &str, started: Instan
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppp_ir::wire::encode_frame;
+    use ppp_ir::wire::{encode_frame, FRAME_HEADER_LEN};
     use ppp_ir::{
         write_edge_profile_v2, write_path_profile_v2, BlockId, EdgeRef, FunctionBuilder, Reg,
     };

@@ -37,8 +37,9 @@
 use crate::service::{AggService, FrameSink, Hello, RetryPolicy};
 use crate::shard::{Aggregator, IngestOutcome};
 use ppp_ir::wire::{
-    decode_frame, encode_frame, encode_reject_payload, encode_seq_payload, split_reject_payload,
-    split_seq_payload, Frame, FrameKind, WireError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+    decode_frame_ref, encode_frame, encode_reject_payload, encode_seq_payload,
+    split_reject_payload, split_seq_payload, Frame, FrameKind, FrameRef, WireError,
+    FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 use ppp_ir::Module;
 use std::io::{Read, Write};
@@ -341,6 +342,27 @@ fn accept_loop(
 /// [`WireError::TimedOut`]; other transport failures are
 /// [`ReadError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ReadError> {
+    let mut buf = Vec::new();
+    Ok(read_frame_into(r, &mut buf)?.map(|f| f.to_frame()))
+}
+
+/// Receive-buffer capacity a connection keeps between frames; delta
+/// frames are kilobytes, far below it.
+const RETAINED_FRAME_BUFFER: usize = 1 << 20;
+
+/// Reads exactly one frame from `r` into `buf` (replacing its contents)
+/// and verifies it there, once; the returned view borrows `buf`, so a
+/// server reuses one buffer for every frame of a connection and can
+/// log the verified bytes as they are. `Ok(None)` on clean EOF at a
+/// frame boundary.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+fn read_frame_into<'b>(
+    r: &mut impl Read,
+    buf: &'b mut Vec<u8>,
+) -> Result<Option<FrameRef<'b>>, ReadError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut got = 0;
     while got < header.len() {
@@ -361,12 +383,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ReadError> {
     if len > MAX_FRAME_PAYLOAD {
         return Err(ReadError::Wire(WireError::Oversize { declared: len }));
     }
-    let mut bytes = Vec::with_capacity(FRAME_HEADER_LEN + len);
-    bytes.extend_from_slice(&header);
-    bytes.resize(FRAME_HEADER_LEN + len, 0);
+    buf.clear();
+    if buf.capacity() > RETAINED_FRAME_BUFFER {
+        // One oversized frame must not pin its allocation for the rest
+        // of the connection.
+        buf.shrink_to(FRAME_HEADER_LEN + len);
+    }
+    buf.extend_from_slice(&header);
+    buf.resize(FRAME_HEADER_LEN + len, 0);
     let mut at = FRAME_HEADER_LEN;
-    while at < bytes.len() {
-        match r.read(&mut bytes[at..]) {
+    while at < buf.len() {
+        match r.read(&mut buf[at..]) {
             Ok(0) => {
                 return Err(ReadError::Wire(WireError::Truncated {
                     expected: FRAME_HEADER_LEN + len,
@@ -378,7 +405,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ReadError> {
             Err(e) => return Err(io_read_error(&e)),
         }
     }
-    let (frame, _) = decode_frame(&bytes).map_err(ReadError::Wire)?;
+    let (frame, _) = decode_frame_ref(buf).map_err(ReadError::Wire)?;
     Ok(Some(frame))
 }
 
@@ -500,6 +527,9 @@ fn serve_connection(
     let mut agg: Option<Arc<Aggregator>> = None;
     let mut client_id = 0u64;
     let mut draining = false;
+    // One receive buffer for the connection: each frame is read into it,
+    // verified there once, decoded from it, and logged from it.
+    let mut buf = Vec::new();
     loop {
         if crash.load(Ordering::SeqCst) {
             return Err("server crashed".to_owned());
@@ -510,7 +540,7 @@ fn serve_connection(
             draining = true;
             let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
         }
-        let frame = match read_frame(stream) {
+        let frame = match read_frame_into(stream, &mut buf) {
             Ok(Some(f)) => f,
             Ok(None) => return Ok(()), // clean EOF
             Err(ReadError::Wire(WireError::TimedOut)) => {
@@ -537,9 +567,9 @@ fn serve_connection(
                 return Err(e.to_string());
             }
         };
-        match frame.kind {
+        match frame.kind() {
             FrameKind::Hello => {
-                let hello = Hello::parse(&frame.payload).inspect_err(|e| {
+                let hello = Hello::parse(frame.payload()).inspect_err(|e| {
                     let _ = send_reject(stream, "hello", e);
                 })?;
                 let module = resolver(&hello).ok_or_else(|| {
@@ -559,7 +589,7 @@ fn serve_connection(
                 let a = service.register(&hello.bench, &module).inspect_err(|e| {
                     let _ = send_reject(stream, "register", e);
                 })?;
-                record_tcp_frame(&a, &frame);
+                record_tcp_frame(&a, frame);
                 client_id = hello.worker;
                 send_ack(stream, client_id, a.watermark(client_id)).map_err(|e| e.to_string())?;
                 agg = Some(a);
@@ -589,10 +619,10 @@ fn serve_connection(
                         return Err("shed: overloaded".to_owned());
                     }
                 }
-                match a.ingest_frame(&frame) {
+                match a.ingest_received(frame) {
                     Ok(IngestOutcome::Applied) => {
                         frames.fetch_add(1, Ordering::SeqCst);
-                        record_tcp_frame(a, &frame);
+                        record_tcp_frame(a, frame);
                     }
                     Ok(IngestOutcome::Duplicate) => {} // counted by the aggregator
                     Err(e) => {
@@ -606,7 +636,7 @@ fn serve_connection(
                     let _ = send_reject(stream, "no-hello", "done before hello");
                     return Err("done before hello".to_owned());
                 };
-                record_tcp_frame(a, &frame);
+                record_tcp_frame(a, frame);
                 send_ack(stream, client_id, a.watermark(client_id)).map_err(|e| e.to_string())?;
             }
             FrameKind::StatsRequest => {
@@ -621,7 +651,7 @@ fn serve_connection(
                     .map_err(|e| e.to_string())?;
             }
             FrameKind::Ack | FrameKind::Reject | FrameKind::StatsResponse => {
-                let msg = format!("client sent a server-only {} frame", frame.kind);
+                let msg = format!("client sent a server-only {} frame", frame.kind());
                 let _ = send_reject(stream, "protocol", &msg);
                 return Err(msg);
             }
@@ -629,17 +659,17 @@ fn serve_connection(
     }
 }
 
-fn record_tcp_frame(agg: &Aggregator, frame: &Frame) {
+fn record_tcp_frame(agg: &Aggregator, frame: FrameRef<'_>) {
     let obs = ppp_obs::global();
     let bench = agg.bench();
     obs.metrics().inc(
         "ppp_agg_frames_ingested_total",
-        &[("bench", bench), ("kind", frame.kind.name())],
+        &[("bench", bench), ("kind", frame.kind().name())],
     );
     obs.metrics().inc_by(
         "ppp_agg_bytes_ingested_total",
         &[("bench", bench)],
-        frame.payload.len() as u64,
+        frame.payload().len() as u64,
     );
 }
 

@@ -2,18 +2,21 @@
 //!
 //! Both artifacts reuse the integrity armour the repo already has.
 //! The **WAL** is simply the accepted sequenced wire frames
-//! ([`ppp_ir::wire`], CRC-framed) appended verbatim to
-//! `<dir>/<bench>.wal` *before* the delta is applied; a torn tail (a
-//! crash mid-append) is detected by the frame CRC and cut off on
-//! recovery. The **checkpoint** at `<dir>/<bench>.ckpt` is itself a
-//! frame stream — a `Hello`-kind manifest naming the bench, the shard
-//! count, and every client's acked sequence watermark, followed by one
-//! persist_v2 edge + path container per shard (each carrying only the
-//! functions that shard owns) and a closing `Done`. Checkpoints are
-//! written to a temp file and atomically renamed, so a crash mid-write
-//! leaves the previous checkpoint intact; the WAL is truncated only
-//! *after* the rename, so a crash between the two merely replays
-//! deltas the watermark dedup then drops.
+//! ([`ppp_ir::wire`], CRC-framed) appended to `<dir>/<bench>.wal`
+//! *before* the delta is applied — the very bytes the server received
+//! and verified, not a re-encoding. An append writes into the OS page
+//! cache with no fsync, so a logged frame survives a killed process but
+//! not a power loss. A torn tail (a crash mid-append) is detected by the
+//! frame CRC and cut off on recovery. The **checkpoint** at
+//! `<dir>/<bench>.ckpt` is itself a frame stream — a `Hello`-kind
+//! manifest naming the bench, the shard count, and every client's acked
+//! sequence watermark, followed by one persist_v2 edge + path container
+//! per shard (each carrying only the functions that shard owns) and a
+//! closing `Done`. Checkpoints are written to a temp file, fsynced, and
+//! atomically renamed, so a crash mid-write leaves the previous
+//! checkpoint intact; the WAL is truncated only *after* the rename, so a
+//! crash between the two merely replays deltas the watermark dedup then
+//! drops.
 //!
 //! Recovery (`Aggregator::recover` in [`crate::recover`]) therefore
 //! reconstructs exactly the uncrashed state: checkpoint first, then
@@ -122,7 +125,11 @@ impl Wal {
         self.len == 0
     }
 
-    /// Appends one encoded frame and flushes it to the OS.
+    /// Appends one encoded frame, written straight to the file with no
+    /// userspace buffer. There is no fsync: the record survives a killed
+    /// process, not a power loss (checkpoints are the fsynced cut). The
+    /// `ppp_wal_fsync_micros` histogram keeps its name but times this
+    /// write.
     ///
     /// # Errors
     ///
@@ -131,7 +138,6 @@ impl Wal {
     pub fn append(&mut self, frame_bytes: &[u8]) -> std::io::Result<()> {
         let started = std::time::Instant::now();
         self.file.write_all(frame_bytes)?;
-        self.file.flush()?;
         self.len += frame_bytes.len() as u64;
         let obs = ppp_obs::global();
         let metrics = obs.metrics();

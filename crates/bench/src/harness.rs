@@ -18,7 +18,28 @@ const BATCHES: usize = 7;
 ///
 /// The closure's return value is passed through [`black_box`] so the
 /// optimizer cannot delete the measured work.
-pub fn bench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
+pub fn bench<R>(group: &str, name: &str, f: impl FnMut() -> R) {
+    let (best, total_iters) = measure(f);
+    println!(
+        "{group}/{name:<24} {:>12}  ({total_iters} iters)",
+        format_ns(best)
+    );
+}
+
+/// As [`bench`], for work over `bytes` bytes per iteration: also prints
+/// the throughput of the best iteration in MB/s (10^6 bytes per second).
+pub fn bench_bytes<R>(group: &str, name: &str, bytes: usize, f: impl FnMut() -> R) {
+    let (best, total_iters) = measure(f);
+    let mb_per_s = bytes as f64 / best.as_secs_f64().max(1e-12) / 1e6;
+    println!(
+        "{group}/{name:<24} {:>12}  {mb_per_s:>9.1} MB/s  ({total_iters} iters)",
+        format_ns(best)
+    );
+}
+
+/// The best per-iteration time of `f` over [`BATCHES`] batches, and the
+/// iterations run.
+fn measure<R>(mut f: impl FnMut() -> R) -> (Duration, usize) {
     // Warm-up + calibration: time single iterations until we know how
     // many fit in one batch.
     let t0 = Instant::now();
@@ -37,10 +58,7 @@ pub fn bench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
         best = best.min(elapsed);
         total_iters += per_batch;
     }
-    println!(
-        "{group}/{name:<24} {:>12}  ({total_iters} iters)",
-        format_ns(best)
-    );
+    (best, total_iters)
 }
 
 /// Runs `f` once and prints the elapsed time (for heavyweight setups

@@ -74,24 +74,26 @@ pub use inst::{BinOp, Inst, ProfOp, Terminator, UnOp};
 pub use loops::{analyze_loops, LoopForest, NaturalLoop};
 pub use module::{Module, TableDecl, TableKind};
 pub use parse::{parse_module, ParseError};
-pub use path::{FuncPathProfile, ModulePathProfile, PathKey, PathStats};
+pub use path::{FuncPathDelta, FuncPathProfile, ModulePathProfile, PathKey, PathStats};
 pub use persist::{
     read_edge_profile, read_path_profile, write_edge_profile, write_path_profile, ProfileParseError,
 };
 pub use persist_v2::{
-    crc32, read_edge_profile_stale, read_edge_profile_v2, read_path_profile_stale,
-    read_path_profile_v2, salvage_edge_profile, salvage_path_profile, write_edge_profile_v2,
-    write_path_profile_v2, ProfileLoadError, Salvaged, SectionFault, StaleReport, PROFILE_MAGIC,
+    crc32, decode_edge_delta, decode_path_delta, read_edge_profile_stale, read_edge_profile_v2,
+    read_path_profile_stale, read_path_profile_v2, salvage_edge_profile, salvage_path_profile,
+    write_edge_profile_v2, write_path_profile_v2, ProfileLoadError, Salvaged, SectionFault,
+    StaleReport, PROFILE_MAGIC,
 };
 pub use profile::{
-    FlowViolation, FlowViolationKind, FuncEdgeProfile, ModuleEdgeProfile, ProfileStats,
+    FlowViolation, FlowViolationKind, FuncEdgeDelta, FuncEdgeProfile, ModuleEdgeProfile,
+    ProfileStats,
 };
 pub use verify::{verify_module, VerifyError};
 pub use wire::{
-    decode_frame, decode_stream, encode_frame, encode_reject_payload, encode_seq_payload,
-    encode_seq_payload_traced, split_reject_payload, split_seq_payload, split_trace_context, Frame,
-    FrameKind, TraceContext, WireError, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
-    SEQ_HEADER_LEN, TRACE_CONTEXT_LEN, TRACE_CONTEXT_MAGIC,
+    decode_frame, decode_frame_ref, decode_stream, encode_frame, encode_reject_payload,
+    encode_seq_payload, encode_seq_payload_traced, split_reject_payload, split_seq_payload,
+    split_trace_context, Frame, FrameKind, FrameRef, TraceContext, WireError, FRAME_HEADER_LEN,
+    FRAME_MAGIC, MAX_FRAME_PAYLOAD, SEQ_HEADER_LEN, TRACE_CONTEXT_LEN, TRACE_CONTEXT_MAGIC,
 };
 pub use witness::{
     InlineStep, InlineWitness, ScalarFuncWitness, ScalarWitness, TransformWitness, UnrollMode,

@@ -97,11 +97,26 @@ impl FuncPathProfile {
     /// of overflowing.
     pub fn record(&mut self, f: &Function, key: PathKey, freq: u64) {
         let branches = key.branch_count(f);
-        let e = self
-            .paths
-            .entry(key)
-            .or_insert(PathStats { freq: 0, branches });
-        e.freq = e.freq.saturating_add(freq);
+        self.add(key, PathStats { freq, branches });
+    }
+
+    /// Adds `stats.freq` executions of `key`, taking ownership of the
+    /// key; a path new to the profile keeps `stats.branches`. Counts
+    /// saturate at [`u64::MAX`].
+    pub fn add(&mut self, key: PathKey, stats: PathStats) {
+        let e = self.paths.entry(key).or_insert(PathStats {
+            freq: 0,
+            branches: stats.branches,
+        });
+        e.freq = e.freq.saturating_add(stats.freq);
+    }
+
+    /// Adds every path of `delta`, moving its keys in rather than
+    /// cloning them (saturating, as [`FuncPathProfile::merge`]).
+    pub fn absorb(&mut self, delta: FuncPathDelta) {
+        for (key, stats) in delta.paths {
+            self.add(key, stats);
+        }
     }
 
     /// Total branch flow over all paths (saturating).
@@ -124,11 +139,7 @@ impl FuncPathProfile {
     /// any partition of deltas produces the same profile.
     pub fn merge(&mut self, other: &FuncPathProfile) {
         for (key, stats) in &other.paths {
-            let e = self.paths.entry(key.clone()).or_insert(PathStats {
-                freq: 0,
-                branches: stats.branches,
-            });
-            e.freq = e.freq.saturating_add(stats.freq);
+            self.add(key.clone(), *stats);
         }
     }
 
@@ -146,6 +157,48 @@ impl FuncPathProfile {
     /// Number of distinct paths recorded.
     pub fn distinct_paths(&self) -> usize {
         self.paths.len()
+    }
+}
+
+/// The path records of one function's section of a path delta, decoded
+/// for the shard that owns the function (see
+/// [`crate::decode_path_delta`]), in record order. A path recorded twice
+/// appears twice; absorbing sums it, as the dense loaders do.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FuncPathDelta {
+    func: FuncId,
+    paths: Vec<(PathKey, PathStats)>,
+}
+
+impl FuncPathDelta {
+    pub(crate) fn new(func: FuncId) -> Self {
+        Self {
+            func,
+            paths: Vec::new(),
+        }
+    }
+
+    /// Appends one path record as the parser reads it.
+    pub(crate) fn push(&mut self, key: PathKey, stats: PathStats) {
+        self.paths.push((key, stats));
+    }
+
+    /// Every path of `p`, the profile of function `func`, taken by move.
+    pub fn from_profile(func: FuncId, p: FuncPathProfile) -> Self {
+        Self {
+            func,
+            paths: p.paths.into_iter().collect(),
+        }
+    }
+
+    /// The function the paths belong to.
+    pub fn func(&self) -> FuncId {
+        self.func
+    }
+
+    /// `true` when the delta holds no path.
+    pub fn is_empty(&self) -> bool {
+        self.paths.is_empty()
     }
 }
 

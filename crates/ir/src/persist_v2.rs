@@ -43,9 +43,9 @@
 use crate::function::Function;
 use crate::ids::{BlockId, EdgeRef, FuncId};
 use crate::module::Module;
-use crate::path::{FuncPathProfile, ModulePathProfile, PathKey};
+use crate::path::{FuncPathDelta, FuncPathProfile, ModulePathProfile, PathKey, PathStats};
 use crate::persist::ProfileParseError;
-use crate::profile::{FuncEdgeProfile, ModuleEdgeProfile};
+use crate::profile::{EdgeCounter, FuncEdgeDelta, FuncEdgeProfile, ModuleEdgeProfile};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -264,15 +264,58 @@ impl StaleReport {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slice-by-8 lookup tables for the reflected IEEE polynomial:
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b` through
+/// eight polynomial steps, and `CRC_TABLES[k][b]` is the same byte
+/// followed by `k` zero bytes, so one lookup per byte of an 8-byte word
+/// advances the register by the whole word.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes per step.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -351,28 +394,23 @@ struct RawSection<'a> {
     /// Index recorded in the section header.
     index: usize,
     /// Name recorded in the section header.
-    name: String,
+    name: &'a str,
     /// Raw payload bytes (UTF-8 not yet verified).
     payload: &'a [u8],
     /// Recorded CRC-32.
     crc: u32,
-    /// 1-based line number of the section header (for diagnostics).
-    line: usize,
+    /// Byte offset of the section header line (see [`line_at`]).
+    offset: usize,
 }
 
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
-    line: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn new(bytes: &'a [u8]) -> Self {
-        Self {
-            bytes,
-            pos: 0,
-            line: 0,
-        }
+        Self { bytes, pos: 0 }
     }
 
     /// Next `\n`-terminated line (without the newline); `None` at EOF.
@@ -380,7 +418,6 @@ impl<'a> Cursor<'a> {
         if self.pos >= self.bytes.len() {
             return None;
         }
-        self.line += 1;
         let rest = &self.bytes[self.pos..];
         match rest.iter().position(|&b| b == b'\n') {
             Some(n) => {
@@ -401,13 +438,18 @@ impl<'a> Cursor<'a> {
             return None;
         }
         self.pos += n;
-        self.line += rest[..n].iter().filter(|&&b| b == b'\n').count();
         Some(&rest[..n])
     }
 
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
+}
+
+/// 1-based line number of byte `offset` in `bytes`. Lines are counted
+/// only when an error is reported, never on the load path itself.
+fn line_at(bytes: &[u8], offset: usize) -> usize {
+    1 + bytes[..offset].iter().filter(|&&b| b == b'\n').count()
 }
 
 fn header_err(line: usize, message: &str) -> ProfileLoadError {
@@ -446,48 +488,44 @@ fn parse_header(
         }
     }
     if w.next() != Some("funcs") {
-        return Err(header_err(cursor.line, "expected 'funcs <n>'"));
+        return Err(header_err(1, "expected 'funcs <n>'"));
     }
     w.next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| header_err(cursor.line, "bad function count"))
+        .ok_or_else(|| header_err(1, "bad function count"))
 }
 
 /// Parses a `func <i> len <n> crc <hex> name <name>` section header.
-fn parse_section_header(
-    line: &str,
-    ln: usize,
-) -> Result<(usize, usize, u32, String), ProfileLoadError> {
+fn parse_section_header(line: &str) -> Result<(usize, usize, u32, &str), &'static str> {
     let mut w = line.split_whitespace();
     if w.next() != Some("func") {
-        return Err(header_err(ln, "expected 'func' section header or 'end'"));
+        return Err("expected 'func' section header or 'end'");
     }
     let index: usize = w
         .next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| header_err(ln, "bad section index"))?;
+        .ok_or("bad section index")?;
     if w.next() != Some("len") {
-        return Err(header_err(ln, "expected 'len'"));
+        return Err("expected 'len'");
     }
     let len: usize = w
         .next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| header_err(ln, "bad section length"))?;
+        .ok_or("bad section length")?;
     if w.next() != Some("crc") {
-        return Err(header_err(ln, "expected 'crc'"));
+        return Err("expected 'crc'");
     }
     let crc = w
         .next()
         .and_then(|s| u32::from_str_radix(s, 16).ok())
-        .ok_or_else(|| header_err(ln, "bad section crc"))?;
+        .ok_or("bad section crc")?;
     if w.next() != Some("name") {
-        return Err(header_err(ln, "expected 'name'"));
+        return Err("expected 'name'");
     }
-    let name = match line.split_once(" name ") {
-        Some((_, n)) => n.to_owned(),
-        None => return Err(header_err(ln, "expected 'name'")),
-    };
-    Ok((index, len, crc, name))
+    match line.split_once(" name ") {
+        Some((_, name)) => Ok((index, len, crc, name)),
+        None => Err("expected 'name'"),
+    }
 }
 
 /// Walks every section of a v2 container. Container-level damage (bad
@@ -502,7 +540,7 @@ fn walk_sections<'a>(
     let mut sections = Vec::new();
     let mut next_index = 0usize;
     loop {
-        let ln = cursor.line + 1;
+        let offset = cursor.pos;
         let Some(raw_line) = cursor.next_line() else {
             // Missing `end` trailer: the tail of the artifact is gone.
             sections.push(Err(SectionFault {
@@ -527,7 +565,7 @@ fn walk_sections<'a>(
         if line.trim() == "end" {
             break;
         }
-        match parse_section_header(line, ln) {
+        match parse_section_header(line) {
             Ok((index, len, crc, name)) => {
                 let available = cursor.remaining();
                 match cursor.take(len) {
@@ -538,13 +576,13 @@ fn walk_sections<'a>(
                             name,
                             payload,
                             crc,
-                            line: ln,
+                            offset,
                         }));
                     }
                     None => {
                         sections.push(Err(SectionFault {
                             func: index,
-                            name,
+                            name: name.to_owned(),
                             error: ProfileLoadError::Truncated {
                                 func: Some(index),
                                 expected: len,
@@ -555,14 +593,14 @@ fn walk_sections<'a>(
                     }
                 }
             }
-            Err(error) => {
+            Err(message) => {
                 // Without a trustworthy length prefix there is no way to
                 // find the next section boundary; everything from here on
                 // is unrecoverable.
                 sections.push(Err(SectionFault {
                     func: next_index,
                     name: String::new(),
-                    error,
+                    error: header_err(line_at(bytes, offset), message),
                 }));
                 break;
             }
@@ -577,7 +615,7 @@ fn section_text<'a>(s: &RawSection<'a>) -> Result<&'a str, ProfileLoadError> {
     if actual != s.crc {
         return Err(ProfileLoadError::ChecksumMismatch {
             func: s.index,
-            name: s.name.clone(),
+            name: s.name.to_owned(),
             expected: s.crc,
             actual,
         });
@@ -590,175 +628,185 @@ fn section_text<'a>(s: &RawSection<'a>) -> Result<&'a str, ProfileLoadError> {
 // ---------------------------------------------------------------------------
 // Section record parsing
 // ---------------------------------------------------------------------------
+//
+// One parser per record grammar, each feeding a sink: the dense loaders
+// set or record into a `Func*Profile`, the delta decoders push into a
+// `Func*Delta` bound for the shard that owns the function.
 
-fn record_err(line: usize, message: &str) -> ProfileParseError {
-    ProfileParseError {
-        line,
-        message: message.to_owned(),
+/// Runs `apply` on every record of a section payload: each line's text
+/// before any `;` comment, skipping blank lines. In lenient mode a
+/// failed record is dropped and counted; in strict mode the first
+/// failure wins. Returns the number dropped.
+fn for_each_record(
+    text: &str,
+    lenient: bool,
+    mut apply: impl FnMut(&str) -> Result<(), String>,
+) -> Result<u64, ProfileParseError> {
+    // Writers emit no comments, so one scan of the section spares the
+    // per-line search.
+    let comments = text.contains(';');
+    let mut dropped = 0u64;
+    for (ln, raw) in text.split('\n').enumerate() {
+        let line = if comments {
+            raw.split_once(';').map_or(raw, |(body, _)| body)
+        } else {
+            raw
+        };
+        if line.trim_start().is_empty() {
+            continue;
+        }
+        match apply(line) {
+            Ok(()) => {}
+            Err(_) if lenient => dropped += 1,
+            Err(message) => {
+                return Err(ProfileParseError {
+                    line: ln + 1,
+                    message,
+                })
+            }
+        }
     }
+    Ok(dropped)
 }
 
-fn parse_block_tok(
-    tok: Option<&str>,
-    ln: usize,
-    f: &Function,
-) -> Result<BlockId, ProfileParseError> {
-    let t = tok.ok_or_else(|| record_err(ln, "missing block"))?;
+/// Parses a decimal count exactly as `str::parse` does for the unsigned
+/// integer `T`: an optional `+`, then one or more ASCII digits, in range.
+/// (A direct loop: the generic radix parser dominated record parsing.)
+fn parse_num<T: TryFrom<u64>>(tok: &str) -> Option<T> {
+    let digits = tok.strip_prefix('+').unwrap_or(tok).as_bytes();
+    if digits.is_empty() {
+        return None;
+    }
+    let mut n = 0u64;
+    for &c in digits {
+        let d = c.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n = n.checked_mul(10)?.checked_add(u64::from(d))?;
+    }
+    T::try_from(n).ok()
+}
+
+fn parse_block_tok(tok: Option<&str>, f: &Function) -> Result<BlockId, String> {
+    let t = tok.ok_or("missing block")?;
     let n: u32 = t
         .strip_prefix('b')
-        .and_then(|x| x.parse().ok())
-        .ok_or_else(|| record_err(ln, "bad block token"))?;
+        .and_then(parse_num)
+        .ok_or("bad block token")?;
     if (n as usize) < f.blocks.len() {
         Ok(BlockId(n))
     } else {
-        Err(record_err(ln, "block out of range"))
+        Err("block out of range".to_owned())
     }
 }
 
-/// Applies one edge-profile record line to `p`.
-fn apply_edge_record(
-    f: &Function,
-    p: &mut FuncEdgeProfile,
-    line: &str,
-    ln: usize,
-) -> Result<(), ProfileParseError> {
+fn parse_count<T: TryFrom<u64>>(tok: Option<&str>, what: &str) -> Result<T, String> {
+    tok.and_then(parse_num).ok_or_else(|| format!("bad {what}"))
+}
+
+/// Parses one edge-profile record line into the counter it sets.
+fn parse_edge_record(f: &Function, line: &str) -> Result<(EdgeCounter, u64), String> {
     let mut w = line.split_whitespace();
     match w.next().unwrap_or("") {
-        "entries" => {
-            let n = w
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| record_err(ln, "bad entry count"))?;
-            p.set_entries(n);
-        }
+        "entries" => Ok((EdgeCounter::Entries, parse_count(w.next(), "entry count")?)),
         "block" => {
-            let b = parse_block_tok(w.next(), ln, f)?;
-            let n = w
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| record_err(ln, "bad block count"))?;
-            p.set_block(b, n);
+            let b = parse_block_tok(w.next(), f)?;
+            Ok((EdgeCounter::Block(b), parse_count(w.next(), "block count")?))
         }
         "edge" => {
-            let b = parse_block_tok(w.next(), ln, f)?;
-            let s: usize = w
-                .next()
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| record_err(ln, "bad successor index"))?;
+            let b = parse_block_tok(w.next(), f)?;
+            let s: usize = parse_count(w.next(), "successor index")?;
             if f.block(b).term.successor(s).is_none() {
-                return Err(record_err(ln, "successor index out of range"));
+                return Err("successor index out of range".to_owned());
             }
-            let n = w
-                .next()
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| record_err(ln, "bad edge count"))?;
-            p.set_edge(EdgeRef::new(b, s), n);
+            let e = EdgeRef::new(b, s);
+            Ok((EdgeCounter::Edge(e), parse_count(w.next(), "edge count")?))
         }
-        other => return Err(record_err(ln, &format!("unknown record {other:?}"))),
+        other => Err(format!("unknown record {other:?}")),
     }
-    Ok(())
 }
 
-/// Parses an edge section payload into `p`. In lenient mode, records that
-/// fail are dropped and counted; in strict mode the first failure wins.
+/// Parses an edge section payload, handing each record's counter and
+/// value to `sink` in record order (a repeated counter is set again, so
+/// the last record wins).
 fn parse_edge_section(
     f: &Function,
     text: &str,
     lenient: bool,
-    p: &mut FuncEdgeProfile,
+    mut sink: impl FnMut(EdgeCounter, u64),
 ) -> Result<u64, ProfileParseError> {
-    let mut dropped = 0u64;
-    for (ln, raw) in text.lines().enumerate() {
-        let line = raw.split(';').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        match apply_edge_record(f, p, line, ln + 1) {
-            Ok(()) => {}
-            Err(e) if lenient => {
-                let _ = e;
-                dropped += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(dropped)
+    for_each_record(text, lenient, |line| {
+        let (counter, n) = parse_edge_record(f, line)?;
+        sink(counter, n);
+        Ok(())
+    })
 }
 
 /// Parses one `path <start> <freq> : <edges>` record.
-fn parse_path_record(
-    f: &Function,
-    line: &str,
-    ln: usize,
-) -> Result<(PathKey, u64), ProfileParseError> {
-    let (head, edges_txt) = line
-        .split_once(':')
-        .ok_or_else(|| record_err(ln, "missing ':' separator"))?;
+fn parse_path_record(f: &Function, line: &str) -> Result<(PathKey, PathStats), String> {
+    let (head, edges_txt) = line.split_once(':').ok_or("missing ':' separator")?;
     let mut w = head.split_whitespace();
     if w.next() != Some("path") {
-        return Err(record_err(ln, "expected 'path'"));
+        return Err("expected 'path'".to_owned());
     }
-    let start = parse_block_tok(w.next(), ln, f)?;
-    let freq: u64 = w
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| record_err(ln, "bad frequency"))?;
-    let mut edges = Vec::new();
+    let start = parse_block_tok(w.next(), f)?;
+    let freq: u64 = parse_count(w.next(), "frequency")?;
+    // One edge per `#`: sized up front, the key is allocated once.
+    let mut edges = Vec::with_capacity(edges_txt.bytes().filter(|&c| c == b'#').count());
+    let mut branches = 0u32;
     let mut cur = start;
     for tok in edges_txt.split_whitespace() {
-        let (b, s) = tok
-            .split_once('#')
-            .ok_or_else(|| record_err(ln, "bad edge token"))?;
-        let b = parse_block_tok(Some(b), ln, f)?;
-        let s: usize = s
-            .parse()
-            .map_err(|_| record_err(ln, "bad successor index"))?;
-        let Some(tgt) = f.block(b).term.successor(s) else {
-            return Err(record_err(ln, "edge does not exist"));
+        let hash = tok
+            .bytes()
+            .position(|c| c == b'#')
+            .ok_or("bad edge token")?;
+        let b = parse_block_tok(Some(&tok[..hash]), f)?;
+        let s: usize = parse_num(&tok[hash + 1..]).ok_or("bad successor index")?;
+        let term = &f.block(b).term;
+        let Some(tgt) = term.successor(s) else {
+            return Err("edge does not exist".to_owned());
         };
         if b != cur {
-            return Err(record_err(ln, "path edges do not chain"));
+            return Err("path edges do not chain".to_owned());
+        }
+        if term.successor_count() >= 2 {
+            branches += 1;
         }
         cur = tgt;
         edges.push(EdgeRef::new(b, s));
     }
-    Ok((PathKey { start, edges }, freq))
+    Ok((PathKey { start, edges }, PathStats { freq, branches }))
 }
 
-/// Parses a path section payload into `out` (lenient: drop + count).
+/// Parses a path section payload, handing each path to `sink` in record
+/// order (a repeated path is added again, so its frequencies sum).
 fn parse_path_section(
     f: &Function,
     text: &str,
     lenient: bool,
-    out: &mut FuncPathProfile,
+    mut sink: impl FnMut(PathKey, PathStats),
 ) -> Result<u64, ProfileParseError> {
-    let mut dropped = 0u64;
-    for (ln, raw) in text.lines().enumerate() {
-        let line = raw.split(';').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_path_record(f, line, ln + 1) {
-            Ok((key, freq)) => out.record(f, key, freq),
-            Err(e) if lenient => {
-                let _ = e;
-                dropped += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(dropped)
+    for_each_record(text, lenient, |line| {
+        let (key, stats) = parse_path_record(f, line)?;
+        sink(key, stats);
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Strict loaders
 // ---------------------------------------------------------------------------
 
-fn strict_sections<'a>(
+/// Walks, checks and CRC-verifies every section of a container that must
+/// match `module` exactly, then hands each function's payload text to
+/// `parse` in function order.
+fn strict_load(
     module: &Module,
-    bytes: &'a [u8],
+    bytes: &[u8],
     kind: &'static str,
-) -> Result<Vec<(FuncId, &'a str)>, ProfileLoadError> {
+    mut parse: impl FnMut(FuncId, &Function, &str) -> Result<(), ProfileParseError>,
+) -> Result<(), ProfileLoadError> {
     let (declared, sections) = walk_sections(bytes, kind)?;
     if declared != module.functions.len() {
         return Err(ProfileLoadError::FunctionCount {
@@ -766,29 +814,41 @@ fn strict_sections<'a>(
             found: declared,
         });
     }
-    let mut out = Vec::with_capacity(sections.len());
+    let mut texts = Vec::with_capacity(sections.len());
     for (i, s) in sections.into_iter().enumerate() {
         let s = s.map_err(|f| f.error)?;
         if s.index != i || s.index >= module.functions.len() {
-            return Err(header_err(s.line, "section index out of order"));
+            return Err(header_err(
+                line_at(bytes, s.offset),
+                "section index out of order",
+            ));
         }
         let f = &module.functions[s.index];
         if f.name != s.name {
             return Err(ProfileLoadError::NameMismatch {
                 func: s.index,
                 expected: f.name.clone(),
-                found: s.name,
+                found: s.name.to_owned(),
             });
         }
-        out.push((FuncId::new(s.index), section_text(&s)?));
+        texts.push(section_text(&s)?);
     }
-    if out.len() != module.functions.len() {
+    if texts.len() != module.functions.len() {
         return Err(ProfileLoadError::FunctionCount {
             expected: module.functions.len(),
-            found: out.len(),
+            found: texts.len(),
         });
     }
-    Ok(out)
+    for (i, text) in texts.into_iter().enumerate() {
+        let fid = FuncId::new(i);
+        let f = module.function(fid);
+        parse(fid, f, text).map_err(|error| ProfileLoadError::Record {
+            func: i,
+            name: f.name.clone(),
+            error,
+        })?;
+    }
+    Ok(())
 }
 
 /// Loads a v2 edge profile strictly: any integrity or shape fault is a
@@ -802,18 +862,11 @@ pub fn read_edge_profile_v2(
     module: &Module,
     bytes: &[u8],
 ) -> Result<ModuleEdgeProfile, ProfileLoadError> {
-    let sections = strict_sections(module, bytes, "edge")?;
     let mut profile = ModuleEdgeProfile::zeroed(module);
-    for (fid, text) in sections {
-        let f = module.function(fid);
-        parse_edge_section(f, text, false, profile.func_mut(fid)).map_err(|error| {
-            ProfileLoadError::Record {
-                func: fid.index(),
-                name: f.name.clone(),
-                error,
-            }
-        })?;
-    }
+    strict_load(module, bytes, "edge", |fid, f, text| {
+        let p = profile.func_mut(fid);
+        parse_edge_section(f, text, false, |c, n| p.set_counter(c, n)).map(drop)
+    })?;
     Ok(profile)
 }
 
@@ -826,19 +879,78 @@ pub fn read_path_profile_v2(
     module: &Module,
     bytes: &[u8],
 ) -> Result<ModulePathProfile, ProfileLoadError> {
-    let sections = strict_sections(module, bytes, "path")?;
     let mut profile = ModulePathProfile::with_capacity(module.functions.len());
-    for (fid, text) in sections {
-        let f = module.function(fid);
-        parse_path_section(f, text, false, profile.func_mut(fid)).map_err(|error| {
-            ProfileLoadError::Record {
-                func: fid.index(),
-                name: f.name.clone(),
-                error,
-            }
-        })?;
-    }
+    strict_load(module, bytes, "path", |fid, f, text| {
+        let p = profile.func_mut(fid);
+        parse_path_section(f, text, false, |key, stats| p.add(key, stats)).map(drop)
+    })?;
     Ok(profile)
+}
+
+// ---------------------------------------------------------------------------
+// Delta decoders: one batch per owning shard
+// ---------------------------------------------------------------------------
+
+fn shard_batches<D>(shards: usize) -> Vec<Vec<D>> {
+    (0..shards.max(1)).map(|_| Vec::new()).collect()
+}
+
+/// Decodes a v2 edge container straight into one batch per shard: batch
+/// `k` holds the functions with `id % shards == k` that carry a nonzero
+/// counter, in function order, ready for
+/// [`FuncEdgeProfile::add_delta`](crate::FuncEdgeProfile::add_delta).
+/// No module-shaped profile is built.
+///
+/// Accepts and refuses exactly what [`read_edge_profile_v2`] does, with
+/// the same errors, and adding every batch into a zeroed profile gives
+/// what that loader returns.
+///
+/// # Errors
+///
+/// See [`read_edge_profile_v2`].
+pub fn decode_edge_delta(
+    module: &Module,
+    bytes: &[u8],
+    shards: usize,
+) -> Result<Vec<Vec<FuncEdgeDelta>>, ProfileLoadError> {
+    let mut batches = shard_batches(shards);
+    let k = batches.len();
+    strict_load(module, bytes, "edge", |fid, f, text| {
+        let mut delta = FuncEdgeDelta::new(fid);
+        parse_edge_section(f, text, false, |c, n| delta.set(c, n))?;
+        delta.settle();
+        if !delta.is_empty() {
+            batches[fid.index() % k].push(delta);
+        }
+        Ok(())
+    })?;
+    Ok(batches)
+}
+
+/// Decodes a v2 path container straight into one batch per shard (see
+/// [`decode_edge_delta`]); each function with at least one path record
+/// keeps its records in order, for
+/// [`FuncPathProfile::absorb`](crate::FuncPathProfile::absorb).
+///
+/// # Errors
+///
+/// See [`read_path_profile_v2`].
+pub fn decode_path_delta(
+    module: &Module,
+    bytes: &[u8],
+    shards: usize,
+) -> Result<Vec<Vec<FuncPathDelta>>, ProfileLoadError> {
+    let mut batches = shard_batches(shards);
+    let k = batches.len();
+    strict_load(module, bytes, "path", |fid, f, text| {
+        let mut delta = FuncPathDelta::new(fid);
+        parse_path_section(f, text, false, |key, stats| delta.push(key, stats))?;
+        if !delta.is_empty() {
+            batches[fid.index() % k].push(delta);
+        }
+        Ok(())
+    })?;
+    Ok(batches)
 }
 
 // ---------------------------------------------------------------------------
@@ -863,7 +975,7 @@ fn salvage_load<T>(
                 if index >= module.functions.len() {
                     faults.push(SectionFault {
                         func: index,
-                        name: raw.name,
+                        name: raw.name.to_owned(),
                         error: ProfileLoadError::FunctionCount {
                             expected: module.functions.len(),
                             found: index + 1,
@@ -935,7 +1047,7 @@ pub fn salvage_edge_profile(
             // leave half a function's counts behind.
             let f = module.function(fid);
             let mut scratch = FuncEdgeProfile::zeroed(f);
-            parse_edge_section(f, text, false, &mut scratch)?;
+            parse_edge_section(f, text, false, |c, n| scratch.set_counter(c, n))?;
             *profile.func_mut(fid) = scratch;
             Ok(())
         },
@@ -960,7 +1072,7 @@ pub fn salvage_path_profile(
         |profile, fid, text| {
             let f = module.function(fid);
             let mut scratch = FuncPathProfile::new();
-            parse_path_section(f, text, false, &mut scratch)?;
+            parse_path_section(f, text, false, |key, stats| scratch.add(key, stats))?;
             *profile.func_mut(fid) = scratch;
             Ok(())
         },
@@ -983,7 +1095,7 @@ fn stale_load<T>(
     let mut seen = vec![false; module.functions.len()];
     for s in sections {
         match s {
-            Ok(raw) => match module.function_by_name(&raw.name) {
+            Ok(raw) => match module.function_by_name(raw.name) {
                 Some(fid) => {
                     seen[fid.index()] = true;
                     report.matched_funcs += 1;
@@ -997,7 +1109,7 @@ fn stale_load<T>(
                             // the plumbing honest.
                             Err(error) => report.faults.push(SectionFault {
                                 func: raw.index,
-                                name: raw.name,
+                                name: raw.name.to_owned(),
                                 error: ProfileLoadError::Record {
                                     func: fid.index(),
                                     name: module.function(fid).name.clone(),
@@ -1007,12 +1119,12 @@ fn stale_load<T>(
                         },
                         Err(error) => report.faults.push(SectionFault {
                             func: raw.index,
-                            name: raw.name,
+                            name: raw.name.to_owned(),
                             error,
                         }),
                     }
                 }
-                None => report.unmatched_sections.push(raw.name),
+                None => report.unmatched_sections.push(raw.name.to_owned()),
             },
             Err(fault) => report.faults.push(fault),
         }
@@ -1051,7 +1163,10 @@ pub fn read_edge_profile_stale(
         "edge",
         ModuleEdgeProfile::zeroed(module),
         |profile, fid, text| {
-            parse_edge_section(module.function(fid), text, true, profile.func_mut(fid))
+            let p = profile.func_mut(fid);
+            parse_edge_section(module.function(fid), text, true, |c, n| {
+                p.set_counter(c, n);
+            })
         },
     )
 }
@@ -1073,7 +1188,10 @@ pub fn read_path_profile_stale(
         "path",
         ModulePathProfile::with_capacity(module.functions.len()),
         |profile, fid, text| {
-            parse_path_section(module.function(fid), text, true, profile.func_mut(fid))
+            let p = profile.func_mut(fid);
+            parse_path_section(module.function(fid), text, true, |key, stats| {
+                p.add(key, stats);
+            })
         },
     )
 }
@@ -1270,9 +1388,80 @@ mod tests {
         assert!(r.is_err());
     }
 
+    /// The bit-serial definition of CRC-32/IEEE, kept as the oracle the
+    /// table-driven [`crc32`] must match.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
-    fn crc32_matches_known_vector() {
+    fn crc32_matches_known_vectors() {
+        assert_eq!(crc32(b""), 0);
         // CRC-32/IEEE of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn parse_num_matches_str_parse() {
+        let alphabet = ["0", "1", "5", "9", "+", "-", " ", "a", "\u{663}", "_"];
+        let mut cases = vec![
+            u32::MAX.to_string(),
+            (u64::from(u32::MAX) + 1).to_string(),
+            u64::MAX.to_string(),
+            "18446744073709551616".to_owned(),
+            "+".to_owned(),
+            "++1".to_owned(),
+            "00042".to_owned(),
+        ];
+        let mut state = 0x5EED_u64;
+        for len in 0..3000 {
+            let mut s = String::new();
+            for _ in 0..len % 23 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                s.push_str(alphabet[(state >> 33) as usize % alphabet.len()]);
+            }
+            cases.push(s);
+        }
+        for s in &cases {
+            assert_eq!(parse_num::<u32>(s), s.parse::<u32>().ok(), "{s:?}");
+            assert_eq!(parse_num::<u64>(s), s.parse::<u64>().ok(), "{s:?}");
+            assert_eq!(parse_num::<usize>(s), s.parse::<usize>().ok(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle_at_every_length_and_offset() {
+        // SplitMix64 bytes: every word alignment and tail length of the
+        // eight-byte loop is hit for lengths 0..=2048 at offsets 0..16.
+        let mut state = 0x00C0_FFEE_u64;
+        let bytes: Vec<u8> = (0..2048 + 16)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for offset in 0..16 {
+            for len in 0..=2048 {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "len {len} at {offset}");
+            }
+        }
     }
 }

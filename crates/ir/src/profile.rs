@@ -311,6 +311,128 @@ impl FuncEdgeProfile {
             Some((back + entry) as f64 / entry as f64)
         }
     }
+
+    /// Sets one counter (the persist loaders' record sink).
+    pub(crate) fn set_counter(&mut self, counter: EdgeCounter, freq: u64) {
+        *self.counter_mut(counter) = freq;
+    }
+
+    fn counter_mut(&mut self, counter: EdgeCounter) -> &mut u64 {
+        match counter {
+            EdgeCounter::Entries => &mut self.entries,
+            EdgeCounter::Block(b) => &mut self.block_freq[b.index()],
+            EdgeCounter::Edge(e) => &mut self.edge_freq[e.from.index()][e.succ_index()],
+        }
+    }
+
+    /// Adds a decoded delta's counters. Sums saturate, as in
+    /// [`FuncEdgeProfile::merge`], so adding a delta and merging the
+    /// profile it was decoded from give the same counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter lies outside this profile's shape.
+    pub fn add_delta(&mut self, delta: &FuncEdgeDelta) {
+        for &(counter, freq) in &delta.counts {
+            let c = self.counter_mut(counter);
+            *c = c.saturating_add(freq);
+        }
+    }
+}
+
+/// One counter of a function's edge profile.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum EdgeCounter {
+    /// The entry count.
+    Entries,
+    /// A block's count.
+    Block(BlockId),
+    /// An edge's count.
+    Edge(EdgeRef),
+}
+
+impl EdgeCounter {
+    /// Sort key in the v2 writer's record order: the entry count, then
+    /// each block's count followed by its edges'.
+    fn rank(self) -> (u64, u64) {
+        match self {
+            EdgeCounter::Entries => (0, 0),
+            EdgeCounter::Block(b) => (u64::from(b.0) + 1, 0),
+            EdgeCounter::Edge(e) => (u64::from(e.from.0) + 1, u64::from(e.succ) + 1),
+        }
+    }
+}
+
+/// The counters one function's section of an edge delta sets, decoded
+/// for the shard that owns the function (see
+/// [`crate::decode_edge_delta`]). Holds nonzero values only, in the v2
+/// writer's record order; a counter set twice keeps its last value, as
+/// the dense loaders do.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FuncEdgeDelta {
+    func: FuncId,
+    counts: Vec<(EdgeCounter, u64)>,
+}
+
+impl FuncEdgeDelta {
+    pub(crate) fn new(func: FuncId) -> Self {
+        Self {
+            func,
+            counts: Vec::new(),
+        }
+    }
+
+    /// Records a counter's value as the parser reads it.
+    pub(crate) fn set(&mut self, counter: EdgeCounter, freq: u64) {
+        self.counts.push((counter, freq));
+    }
+
+    /// Resolves repeated counters (the last value wins) and drops zeros.
+    /// The v2 writer never repeats a counter and emits them in rank
+    /// order, so its sections skip the sort.
+    pub(crate) fn settle(&mut self) {
+        if !self
+            .counts
+            .windows(2)
+            .all(|w| w[0].0.rank() < w[1].0.rank())
+        {
+            // Stable, so repeats stay in record order for the dedup.
+            self.counts.sort_by_key(|&(c, _)| c.rank());
+            self.counts.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 = later.1;
+                }
+                same
+            });
+        }
+        self.counts.retain(|&(_, freq)| freq != 0);
+    }
+
+    /// The nonzero counters of `p`, the profile of function `func`.
+    pub fn from_profile(func: FuncId, p: &FuncEdgeProfile) -> Self {
+        let mut d = Self::new(func);
+        d.set(EdgeCounter::Entries, p.entries);
+        for (b, row) in p.edge_freq.iter().enumerate() {
+            let bid = BlockId::new(b);
+            d.set(EdgeCounter::Block(bid), p.block_freq[b]);
+            for (s, &freq) in row.iter().enumerate() {
+                d.set(EdgeCounter::Edge(EdgeRef::new(bid, s)), freq);
+            }
+        }
+        d.counts.retain(|&(_, freq)| freq != 0);
+        d
+    }
+
+    /// The function the counters belong to.
+    pub fn func(&self) -> FuncId {
+        self.func
+    }
+
+    /// `true` when the delta sets no nonzero counter.
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
 }
 
 /// Edge profiles for every function in a module.

@@ -426,14 +426,46 @@ pub fn decode_header(bytes: &[u8]) -> Result<(FrameKind, usize, u32), WireError>
     Ok((kind, len, crc))
 }
 
-/// Decodes the first frame of `bytes`; returns the frame and the number
-/// of bytes consumed.
+/// A verified frame borrowed from the bytes it arrived in: header and
+/// payload CRC have been checked, and [`FrameRef::wire`] hands back
+/// exactly those bytes, so a receiver can log what it verified without
+/// copying or re-encoding it. Only [`decode_frame_ref`] makes one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FrameRef<'a> {
+    kind: FrameKind,
+    wire: &'a [u8],
+}
+
+impl<'a> FrameRef<'a> {
+    /// Payload grammar selector.
+    pub fn kind(&self) -> FrameKind {
+        self.kind
+    }
+
+    /// The payload bytes.
+    pub fn payload(&self) -> &'a [u8] {
+        &self.wire[FRAME_HEADER_LEN..]
+    }
+
+    /// The whole frame as received: header followed by payload.
+    pub fn wire(&self) -> &'a [u8] {
+        self.wire
+    }
+
+    /// An owned copy of the frame.
+    pub fn to_frame(&self) -> Frame {
+        Frame::new(self.kind, self.payload().to_vec())
+    }
+}
+
+/// Verifies the first frame of `bytes` in place; returns a view of it and
+/// the number of bytes it spans.
 ///
 /// # Errors
 ///
 /// Yields a typed [`WireError`] for any damage; the caller must not
 /// trust anything past the reported failure (there is no resync).
-pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
+pub fn decode_frame_ref(bytes: &[u8]) -> Result<(FrameRef<'_>, usize), WireError> {
     let (kind, len, crc) = decode_header(bytes)?;
     let total = FRAME_HEADER_LEN + len;
     if bytes.len() < total {
@@ -442,21 +474,25 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
             available: bytes.len(),
         });
     }
-    let payload = &bytes[FRAME_HEADER_LEN..total];
-    let actual = crc32(payload);
+    let wire = &bytes[..total];
+    let actual = crc32(&wire[FRAME_HEADER_LEN..]);
     if actual != crc {
         return Err(WireError::ChecksumMismatch {
             expected: crc,
             actual,
         });
     }
-    Ok((
-        Frame {
-            kind,
-            payload: payload.to_vec(),
-        },
-        total,
-    ))
+    Ok((FrameRef { kind, wire }, total))
+}
+
+/// Decodes the first frame of `bytes` into an owned [`Frame`]; returns
+/// the frame and the number of bytes consumed.
+///
+/// # Errors
+///
+/// See [`decode_frame_ref`].
+pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
+    decode_frame_ref(bytes).map(|(frame, used)| (frame.to_frame(), used))
 }
 
 /// Decodes a whole stream of concatenated frames. Returns every frame

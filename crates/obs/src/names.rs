@@ -42,7 +42,8 @@ pub const AGG_DUPLICATES: &str = "ppp_agg_frames_duplicate_total";
 pub const INGEST_MICROS: &str = "ppp_agg_ingest_micros";
 /// Shard-queue wait latency histogram, microseconds (label: `bench`).
 pub const QUEUE_WAIT_MICROS: &str = "ppp_agg_queue_wait_micros";
-/// WAL append+flush latency histogram, microseconds (label: `bench`).
+/// WAL append latency histogram, microseconds (label: `bench`). The
+/// name is historical: an append is one `write` with no fsync.
 pub const WAL_FSYNC_MICROS: &str = "ppp_wal_fsync_micros";
 /// Flight-recorder dump artifacts written (no labels).
 pub const FLIGHT_DUMPS: &str = "ppp_flight_dumps_total";

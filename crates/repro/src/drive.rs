@@ -152,8 +152,8 @@ pub struct DriveReport {
     pub ingest_latency: Option<Quantiles>,
     /// Shard queue-wait quantiles (`ppp_agg_queue_wait_micros`).
     pub queue_wait: Option<Quantiles>,
-    /// WAL fsync quantiles (`ppp_wal_fsync_micros`); `None` without
-    /// `--checkpoint-dir`.
+    /// WAL append quantiles (`ppp_wal_fsync_micros`, a `write` with no
+    /// fsync); `None` without `--checkpoint-dir`.
     pub wal_fsync: Option<Quantiles>,
 }
 
