@@ -15,6 +15,7 @@
 //! | `PPP5xx`  | static branch prediction & frequency estimation (`ppp-est`) |
 
 use ppp_ir::{BlockId, FuncId};
+use ppp_obs::json;
 use std::fmt;
 
 /// Diagnostic severity, ordered `Info < Warning < Error`.
@@ -387,12 +388,12 @@ impl LintReport {
             s.push_str("\n    {");
             s.push_str(&format!("\"code\": \"{}\", ", d.code.as_str()));
             s.push_str(&format!("\"severity\": \"{}\", ", d.severity().as_str()));
-            s.push_str(&format!("\"func\": \"{}\", ", escape_json(&d.func_name)));
+            s.push_str(&format!("\"func\": \"{}\", ", json::escape(&d.func_name)));
             match d.block {
                 Some(b) => s.push_str(&format!("\"block\": {}, ", b.index())),
                 None => s.push_str("\"block\": null, "),
             }
-            s.push_str(&format!("\"message\": \"{}\"}}", escape_json(&d.message)));
+            s.push_str(&format!("\"message\": \"{}\"}}", json::escape(&d.message)));
         }
         if !self.diagnostics.is_empty() {
             s.push_str("\n  ");
@@ -418,23 +419,6 @@ impl fmt::Display for LintReport {
             self.count(Severity::Info)
         )
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

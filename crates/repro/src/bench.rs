@@ -11,10 +11,10 @@
 //! seed-determined, so the gate is machine-independent); wall-time is
 //! recorded for trend-watching but never gated.
 
-use crate::pipeline::{run_benchmark, BenchmarkRun, PipelineOptions};
+use crate::pipeline::{run_benchmark, sweep, BenchmarkRun, PipelineOptions, Selection};
 use ppp_obs::json::{self, Json};
 use ppp_obs::Value;
-use ppp_workloads::{spec2000_suite, BenchClass};
+use ppp_workloads::BenchClass;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -122,28 +122,17 @@ fn record_from_run(run: &BenchmarkRun, wall_ms: f64) -> BenchRecord {
     }
 }
 
-/// Runs the suite (or one benchmark) and builds a baseline artifact.
+/// Runs the selected benchmarks and builds a baseline artifact.
 ///
 /// Per-benchmark wall-time is measured here, around the whole pipeline
 /// run; everything else comes from the run itself. Failed benchmarks are
 /// reported through the observation sink and skipped, matching
-/// [`crate::run_suite`]. `options.workers > 1` fans the benchmarks over
-/// that many threads; every gated quantity is seed-deterministic and
-/// records are collected in suite order, so only `wall_ms` (recorded,
-/// never gated) can differ from a sequential run.
-pub fn collect_baseline(only: Option<&str>, options: &PipelineOptions) -> BenchBaseline {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| only.is_none_or(|b| e.spec.name == b))
-        .collect();
-    let records = ppp_agg::run_indexed(options.workers, entries.len(), |i| {
-        let entry = entries[i];
+/// [`crate::run_suite`]. Every gated quantity is seed-deterministic and
+/// the sweep collects in suite order, so only `wall_ms` (recorded, never
+/// gated) can differ between worker counts.
+pub fn collect_baseline(selection: &Selection, options: &PipelineOptions) -> BenchBaseline {
+    let records = sweep("bench", selection, options.workers, |entry| {
         let obs = ppp_obs::global();
-        obs.info(
-            "bench.progress",
-            &[("bench", Value::from(entry.spec.name.as_str()))],
-        );
         let started = Instant::now();
         match run_benchmark(entry, options) {
             Ok(run) => {
@@ -539,24 +528,6 @@ pub fn wall_trends_table(trends: &[WallTrend]) -> String {
     format!("wall-time trend (recorded, never gated):\n{}", t.render())
 }
 
-/// Renders the wall-time trend as JSON.
-pub fn wall_trends_json(trends: &[WallTrend]) -> String {
-    let items = trends
-        .iter()
-        .map(|w| {
-            format!(
-                "{{\"bench\":\"{}\",\"old_ms\":{},\"new_ms\":{},\"ratio\":{}}}",
-                json::escape(&w.bench),
-                json::fmt_f64(w.old_ms),
-                json::fmt_f64(w.new_ms),
-                json::fmt_f64(w.ratio)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{{\"wall_trends\":[{items}]}}")
-}
-
 /// Renders a comparison outcome as JSON.
 pub fn regressions_json(regs: &[Regression]) -> String {
     let items = regs
@@ -706,7 +677,6 @@ mod tests {
         assert!((trends[1].ratio - 2.0).abs() < 1e-9);
         // Rendered, but still not a regression.
         assert!(wall_trends_table(&trends).contains("never gated"));
-        assert!(wall_trends_json(&trends).contains("\"bench\":\"TOTAL\""));
         assert!(compare_baselines(&old, &new, 0.10).unwrap().is_empty());
     }
 

@@ -16,7 +16,8 @@
 use crate::degrade::{ingest_guidance, ingest_guidance_at, DegradationReport, LadderRung};
 use crate::format::Table;
 use crate::pipeline::{
-    instrument_and_run, prepare_benchmark, PipelineError, PipelineOptions, PreparedBenchmark,
+    instrument_and_run, prepare_benchmark, sweep, PipelineError, PipelineOptions,
+    PreparedBenchmark, Selection,
 };
 use ppp_agg::{AggConfig, Aggregator, DurOptions, Hello, IngestOutcome, ReadError};
 use ppp_core::ProfilerConfig;
@@ -27,8 +28,8 @@ use ppp_ir::{
     SectionFault, WireError,
 };
 use ppp_match::read_edge_profile_matched;
+use ppp_obs::json;
 use ppp_vm::{run, HaltReason, RunOptions};
-use ppp_workloads::spec2000_suite;
 use std::fmt;
 use std::sync::Arc;
 
@@ -104,28 +105,16 @@ impl ChaosOutcome {
         format!(
             "{{\"benchmark\":\"{}\",\"site\":\"{}\",\"seed\":{},\"verdict\":\"{}\",\
              \"lint_clean\":{},\"estimator_ok\":{},\"detail\":\"{}\",\"degradation\":{}}}",
-            json_escape(&self.benchmark),
+            json::escape(&self.benchmark),
             self.site,
             self.seed,
             self.verdict,
             self.lint_clean,
             self.estimator_ok,
-            json_escape(&self.detail),
+            json::escape(&self.detail),
             self.report.to_json(),
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn record_faults(report: &mut DegradationReport, faults: &[SectionFault]) {
@@ -965,46 +954,21 @@ pub fn chaos_prepared(
         .collect()
 }
 
-/// Prepares one suite benchmark and sweeps every fault site over it.
-pub fn chaos_benchmark(
-    entry: &ppp_workloads::SuiteEntry,
-    seed: u64,
-    options: &PipelineOptions,
-) -> Result<Vec<ChaosOutcome>, PipelineError> {
-    let prep = prepare_benchmark(entry, options)?;
-    Ok(chaos_prepared(&prep, seed, options))
-}
-
-/// Sweeps every fault site across the suite (or one named benchmark).
+/// Sweeps every fault site across the selected benchmarks.
 ///
-/// Progress goes to stderr. Returns every scenario outcome in suite ×
-/// site order. `options.workers > 1` fans the benchmarks over that many
-/// threads; every scenario is seed-deterministic and results are
-/// collected in suite order, so the output is byte-identical to a
-/// sequential sweep.
+/// Returns every scenario outcome in suite × site order. Every scenario
+/// is seed-deterministic and the sweep collects in suite order, so the
+/// output is byte-identical at any `options.workers`.
 pub fn chaos_suite(
-    bench: Option<&str>,
+    selection: &Selection,
     seed: u64,
     options: &PipelineOptions,
 ) -> Result<Vec<ChaosOutcome>, PipelineError> {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| bench.is_none_or(|b| e.spec.name == b))
-        .collect();
-    let per_bench = ppp_agg::run_indexed(options.workers, entries.len(), |i| {
-        let entry = entries[i];
-        ppp_obs::global().info(
-            "chaos.progress",
-            &[("bench", ppp_obs::Value::from(entry.spec.name.as_str()))],
-        );
-        chaos_benchmark(entry, seed, options)
+    let per_bench = sweep("chaos", selection, options.workers, |entry| {
+        prepare_benchmark(entry, options).map(|prep| chaos_prepared(&prep, seed, options))
     });
-    let mut outcomes = Vec::new();
-    for r in per_bench {
-        outcomes.extend(r?);
-    }
-    Ok(outcomes)
+    let per_bench: Vec<Vec<_>> = per_bench.into_iter().collect::<Result<_, _>>()?;
+    Ok(per_bench.into_iter().flatten().collect())
 }
 
 /// Renders chaos outcomes as a text table.
@@ -1057,6 +1021,7 @@ pub fn chaos_json(outcomes: &[ChaosOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppp_workloads::spec2000_suite;
 
     fn tiny() -> PipelineOptions {
         PipelineOptions {
@@ -1186,8 +1151,8 @@ mod tests {
             workers: 4,
             ..sequential
         };
-        let a = chaos_suite(None, 701, &sequential).expect("sequential sweep");
-        let b = chaos_suite(None, 701, &parallel).expect("parallel sweep");
+        let a = chaos_suite(&Selection::all(), 701, &sequential).expect("sequential sweep");
+        let b = chaos_suite(&Selection::all(), 701, &parallel).expect("parallel sweep");
         assert_eq!(a.len(), FaultSite::ALL.len() * spec2000_suite().len());
         assert_eq!(chaos_json(&a), chaos_json(&b));
         assert_eq!(chaos_table(&a), chaos_table(&b));

@@ -30,6 +30,7 @@
 //! reserved for the degenerate empty-module case.
 
 use ppp_ir::{FuncId, Module, ModuleEdgeProfile, ModulePathProfile};
+use ppp_obs::json;
 use std::fmt;
 
 /// One rung of the degradation ladder, ordered best to worst.
@@ -124,15 +125,15 @@ impl DegradationReport {
             .map(|e| {
                 format!(
                     "{{\"cause\":\"{}\",\"detail\":\"{}\"}}",
-                    json_escape(&e.cause),
-                    json_escape(&e.detail)
+                    json::escape(&e.cause),
+                    json::escape(&e.detail)
                 )
             })
             .collect::<Vec<_>>()
             .join(",");
         let names = |v: &[String]| {
             v.iter()
-                .map(|n| format!("\"{}\"", json_escape(n)))
+                .map(|n| format!("\"{}\"", json::escape(n)))
                 .collect::<Vec<_>>()
                 .join(",")
         };
@@ -165,18 +166,6 @@ impl fmt::Display for DegradationReport {
         }
         Ok(())
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Function indices of `profile` that cannot be trusted: saturated

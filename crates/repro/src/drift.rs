@@ -24,7 +24,8 @@
 use crate::degrade::{ingest_guidance_at, DegradationReport, LadderRung};
 use crate::format::Table;
 use crate::pipeline::{
-    estimate_options, prepare_benchmark, traced, PipelineError, PipelineOptions, PreparedBenchmark,
+    estimate_options, prepare_benchmark, sweep, traced, PipelineError, PipelineOptions,
+    PreparedBenchmark, Selection,
 };
 use ppp_core::{accuracy, edge_profile_coverage, edge_profile_estimate, FlowKind};
 use ppp_ir::{
@@ -34,7 +35,6 @@ use ppp_ir::{
 use ppp_lint::Code;
 use ppp_match::read_edge_profile_matched;
 use ppp_opt::{inline_module_witnessed, unroll_module_witnessed, InlineOptions, UnrollOptions};
-use ppp_workloads::spec2000_suite;
 use std::fmt;
 
 /// Deterministic local RNG (SplitMix64). `ppp-faults` keeps its stream
@@ -480,44 +480,19 @@ pub fn drift_prepared(
     Ok(outcomes)
 }
 
-/// Runs the full drift sweep for one suite entry.
-pub fn drift_benchmark(
-    entry: &ppp_workloads::SuiteEntry,
-    seed: u64,
-    options: &PipelineOptions,
-) -> Result<Vec<DriftOutcome>, PipelineError> {
-    let prep = prepare_benchmark(entry, options)?;
-    drift_prepared(&prep, seed, options)
-}
-
-/// Sweeps every drift scenario across the suite (or one named
-/// benchmark). `options.workers > 1` fans benchmarks over threads;
-/// results are collected in suite order and every scenario is
-/// seed-deterministic, so the output is byte-identical to a sequential
-/// sweep.
+/// Sweeps every drift scenario across the selected benchmarks. Every
+/// scenario is seed-deterministic and the sweep collects in suite
+/// order, so the output is byte-identical at any `options.workers`.
 pub fn drift_suite(
-    bench: Option<&str>,
+    selection: &Selection,
     seed: u64,
     options: &PipelineOptions,
 ) -> Result<Vec<DriftOutcome>, PipelineError> {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| bench.is_none_or(|b| e.spec.name == b))
-        .collect();
-    let per_bench = ppp_agg::run_indexed(options.workers, entries.len(), |i| {
-        let entry = entries[i];
-        ppp_obs::global().info(
-            "drift.progress",
-            &[("bench", ppp_obs::Value::from(entry.spec.name.as_str()))],
-        );
-        drift_benchmark(entry, seed, options)
+    let per_bench = sweep("drift", selection, options.workers, |entry| {
+        drift_prepared(&prepare_benchmark(entry, options)?, seed, options)
     });
-    let mut outcomes = Vec::new();
-    for r in per_bench {
-        outcomes.extend(r?);
-    }
-    Ok(outcomes)
+    let per_bench: Vec<Vec<_>> = per_bench.into_iter().collect::<Result<_, _>>()?;
+    Ok(per_bench.into_iter().flatten().collect())
 }
 
 /// Renders drift outcomes as a text table.
@@ -587,6 +562,7 @@ pub fn drift_json(outcomes: &[DriftOutcome], seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppp_workloads::spec2000_suite;
 
     fn tiny() -> PipelineOptions {
         PipelineOptions {
@@ -597,7 +573,8 @@ mod tests {
 
     #[test]
     fn drift_mcf_all_scenarios_hold_invariants() {
-        let out = drift_suite(Some("mcf"), 0x0DD5, &tiny()).expect("sweep completes");
+        let out = drift_suite(&Selection::of(&["mcf"]).unwrap(), 0x0DD5, &tiny())
+            .expect("sweep completes");
         assert_eq!(out.len(), DRIFT_SCENARIOS.len());
         for o in &out {
             assert!(o.ok(), "{} {} failed: {o:?}", o.benchmark, o.scenario);
@@ -633,10 +610,11 @@ mod tests {
     #[test]
     fn drift_sweep_is_deterministic() {
         let opts = tiny();
-        let a = drift_suite(Some("vpr"), 7, &opts).expect("sweep completes");
-        let b = drift_suite(Some("vpr"), 7, &opts).expect("sweep completes");
+        let vpr = Selection::of(&["vpr"]).unwrap();
+        let a = drift_suite(&vpr, 7, &opts).expect("sweep completes");
+        let b = drift_suite(&vpr, 7, &opts).expect("sweep completes");
         assert_eq!(drift_json(&a, 7), drift_json(&b, 7));
-        let c = drift_suite(Some("vpr"), 8, &opts).expect("sweep completes");
+        let c = drift_suite(&vpr, 8, &opts).expect("sweep completes");
         // A different seed must still hold the invariants.
         assert!(c.iter().all(DriftOutcome::ok));
     }

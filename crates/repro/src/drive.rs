@@ -15,6 +15,7 @@
 //! events (dynamic steps) per second across all workers.
 
 use crate::format::Table;
+use crate::pipeline::Selection;
 use ppp_agg::{
     run_indexed, AggClient, AggConfig, AggService, DurOptions, FrameSink, Hello, InProcSink,
     ResilientSink, RetryPolicy, ServeOptions, Server, TcpSink,
@@ -24,7 +25,7 @@ use ppp_ir::{
 };
 use ppp_obs::{json, names, Histogram};
 use ppp_vm::{run, RunOptions};
-use ppp_workloads::{generate, spec2000_suite};
+use ppp_workloads::generate;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,7 +98,7 @@ impl Default for DriveOptions {
 }
 
 impl DriveOptions {
-    fn durability(&self) -> Option<DurOptions> {
+    pub(crate) fn durability(&self) -> Option<DurOptions> {
         self.checkpoint_dir
             .as_ref()
             .map(|dir| DurOptions::new(dir, self.checkpoint_every))
@@ -256,25 +257,17 @@ struct UnitStats {
 /// The local reference merge a benchmark's snapshot is checked against.
 type Reference = Mutex<Option<(ModuleEdgeProfile, ModulePathProfile)>>;
 
-/// Runs the load driver over the suite (or one named benchmark).
+/// Runs the load driver over the selected benchmarks.
 ///
 /// # Errors
 ///
-/// Returns a message when a benchmark name is unknown, a connection or
-/// stream fails, or a server cannot be spawned. A failed determinism or
-/// lint check is *not* an error — it lands in the report (and flips
-/// [`DriveReport::ok`]), so the CLI can exit nonzero with the full
-/// picture printed.
-pub fn drive(only: Option<&str>, options: &DriveOptions) -> Result<DriveReport, String> {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| only.is_none_or(|b| e.spec.name == b))
-        .collect();
-    if entries.is_empty() {
-        return Err(format!("unknown benchmark {:?}", only.unwrap_or("")));
-    }
-    let modules: Vec<(String, Arc<Module>)> = entries
+/// Returns a message when a connection or stream fails, or a server
+/// cannot be spawned. A failed determinism or lint check is *not* an
+/// error — it lands in the report (and flips [`DriveReport::ok`]), so
+/// the CLI can exit nonzero with the full picture printed.
+pub fn drive(selection: &Selection, options: &DriveOptions) -> Result<DriveReport, String> {
+    let modules: Vec<(String, Arc<Module>)> = selection
+        .entries()
         .iter()
         .map(|e| {
             let spec = e.spec.clone().scaled(options.scale);
@@ -734,8 +727,8 @@ pub fn serve(
         None => AggService::new(config),
     };
     let resolver: Arc<ppp_agg::ModuleResolver> = Arc::new(|hello: &Hello| {
-        let suite = spec2000_suite();
-        let entry = suite.iter().find(|e| e.spec.name == hello.bench)?;
+        let selection = Selection::of(&[&hello.bench]).ok()?;
+        let entry = &selection.entries()[0];
         let scale = f64::from_bits(hello.scale_bits);
         let spec = if scale > 0.0 && scale.is_finite() {
             entry.spec.clone().scaled(scale)
@@ -760,6 +753,10 @@ pub fn serve(
 mod tests {
     use super::*;
 
+    fn mcf() -> Selection {
+        Selection::of(&["mcf"]).unwrap()
+    }
+
     fn tiny(transport: Transport) -> DriveOptions {
         DriveOptions {
             workers: 2,
@@ -775,7 +772,7 @@ mod tests {
     #[test]
     fn in_proc_drive_is_deterministic_and_lint_clean() {
         let _obs = crate::obs_test_lock();
-        let r = drive(Some("mcf"), &tiny(Transport::InProc)).expect("drive completes");
+        let r = drive(&mcf(), &tiny(Transport::InProc)).expect("drive completes");
         assert!(r.ok(), "{}", drive_table(&r));
         assert_eq!(r.benches.len(), 1);
         let b = &r.benches[0];
@@ -794,7 +791,8 @@ mod tests {
 
     #[test]
     fn self_hosted_tcp_drive_matches_the_reference() {
-        let r = drive(Some("vpr"), &tiny(Transport::Tcp)).expect("drive completes");
+        let r = drive(&Selection::of(&["vpr"]).unwrap(), &tiny(Transport::Tcp))
+            .expect("drive completes");
         assert!(r.ok(), "{}", drive_table(&r));
         assert_eq!(r.benches[0].deterministic, Some(true));
         assert!(r.transport == "tcp");
@@ -808,7 +806,7 @@ mod tests {
         options.checkpoint_dir = Some(wal.path().to_owned());
         options.checkpoint_every = 4;
         options.kill_after = Some(3);
-        let r = drive(Some("mcf"), &options).expect("drive completes");
+        let r = drive(&mcf(), &options).expect("drive completes");
         assert_eq!(r.kills, 1, "the kill fired");
         // The whole point: a mid-run crash + restart must still yield
         // a snapshot byte-identical to the local reference merge (no
@@ -836,7 +834,7 @@ mod tests {
         options.checkpoint_dir = Some(wal.path().to_owned());
         options.checkpoint_every = 4;
         options.kill_after = Some(3);
-        let r = drive(Some("mcf"), &options).expect("drive completes");
+        let r = drive(&mcf(), &options).expect("drive completes");
         assert_eq!(r.kills, 1, "the kill fired");
         let path = dump_dir.join("flight-server-kill.json");
         let doc = std::fs::read_to_string(&path).expect("kill dump written");
@@ -865,7 +863,7 @@ mod tests {
     fn kill_after_without_durability_is_refused() {
         let mut options = tiny(Transport::Tcp);
         options.kill_after = Some(1);
-        let err = drive(Some("mcf"), &options).expect_err("refused");
+        let err = drive(&mcf(), &options).expect_err("refused");
         assert!(err.contains("--checkpoint-dir"), "{err}");
     }
 
@@ -873,7 +871,7 @@ mod tests {
     fn connect_mode_streams_to_an_external_server() {
         let server = serve("127.0.0.1:0", 2, 8, None).expect("server spawns");
         let addr = server.addr();
-        let r = drive(Some("mcf"), &tiny(Transport::Connect(addr))).expect("drive completes");
+        let r = drive(&mcf(), &tiny(Transport::Connect(addr))).expect("drive completes");
         // No local snapshot: verdicts are skipped, traffic still flows.
         assert_eq!(r.benches[0].deterministic, None);
         assert!(r.benches[0].frames > 0);
@@ -883,7 +881,7 @@ mod tests {
 
     #[test]
     fn renderers_are_stable() {
-        let r = drive(Some("mcf"), &tiny(Transport::InProc)).expect("drive completes");
+        let r = drive(&mcf(), &tiny(Transport::InProc)).expect("drive completes");
         let table = drive_table(&r);
         assert!(table.contains("mcf") && table.contains("events/sec"));
         let json_doc = drive_json(&r);

@@ -12,11 +12,10 @@
 //! flow-conservative.
 
 use crate::format::Table;
-use crate::pipeline::PipelineOptions;
+use crate::pipeline::{sweep, Selection};
 use ppp_jit::{run_jit, JitError, JitOptions, JitOutcome};
 use ppp_obs::json;
-use ppp_obs::Value;
-use ppp_workloads::{generate, spec2000_suite};
+use ppp_workloads::generate;
 use std::fmt::Write as _;
 
 /// Version of the `ppp-jit` artifact schema.
@@ -26,50 +25,22 @@ pub const JIT_SCHEMA_VERSION: u64 = 1;
 /// [`JIT_SCHEMA_VERSION`]).
 pub const JIT_KIND: &str = "ppp-jit";
 
-/// Builds the engine options for a suite sweep from the shared pipeline
-/// options plus the jit-specific knobs.
-pub fn jit_options(
-    options: &PipelineOptions,
-    generations: usize,
-    hot_threshold: f64,
-) -> JitOptions {
-    JitOptions {
-        generations: generations.max(1),
-        hot_threshold,
-        seed: options.seed,
-        scale: options.scale,
-        ..JitOptions::default()
-    }
-}
-
-/// Runs the re-optimization loop over the suite.
+/// Runs the re-optimization loop over the selected benchmarks.
 ///
-/// `bench` narrows the sweep to one benchmark or a comma-separated
-/// list (the CI smoke runs three representative ones). Progress goes
-/// to the observation sink. `workers > 1` fans benchmarks over that
-/// many threads; each loop is seed-deterministic and results are
-/// collected in suite order, so everything except wall-clock fields is
-/// byte-identical to a sequential sweep.
+/// Each loop is seed-deterministic and the sweep collects in suite
+/// order, so everything except wall-clock fields is byte-identical at
+/// any `workers`.
 pub fn jit_suite(
-    bench: Option<&str>,
+    selection: &Selection,
     jopts: &JitOptions,
     workers: usize,
 ) -> Result<Vec<JitOutcome>, JitError> {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| bench.is_none_or(|b| b.split(',').any(|x| x == e.spec.name)))
-        .collect();
-    let outcomes = ppp_agg::run_indexed(workers, entries.len(), |i| {
-        let entry = entries[i];
-        ppp_obs::global().info(
-            "jit.progress",
-            &[("bench", Value::from(entry.spec.name.as_str()))],
-        );
+    sweep("jit", selection, workers, |entry| {
         let module = generate(&entry.spec.clone().scaled(jopts.scale));
         run_jit(&module, &entry.spec.name, jopts)
-    });
-    outcomes.into_iter().collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The CI convergence contract over a sweep's outcomes.
@@ -253,9 +224,19 @@ pub fn jit_table(outcomes: &[JitOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::prepare_benchmark;
+    use crate::pipeline::{prepare_benchmark, PipelineOptions};
     use ppp_ir::{write_edge_profile_v2, write_path_profile_v2};
     use ppp_vm::{run, RunOptions};
+    use ppp_workloads::spec2000_suite;
+
+    fn jit_options(options: &PipelineOptions, generations: usize) -> JitOptions {
+        JitOptions {
+            generations,
+            seed: options.seed,
+            scale: options.scale,
+            ..JitOptions::default()
+        }
+    }
 
     /// The hot-swap determinism safety net: a 1-generation loop with the
     /// full profile available (warm start, hot_threshold 0) must be
@@ -275,10 +256,7 @@ mod tests {
             for entry in &suite {
                 let name = entry.spec.name.as_str();
                 let prep = prepare_benchmark(entry, &options).expect("pipeline completes");
-                let jopts = JitOptions {
-                    generations: 1,
-                    ..jit_options(&options, 1, 0.0)
-                };
+                let jopts = jit_options(&options, 1);
                 let module = generate(&entry.spec.clone().scaled(options.scale));
                 let out = run_jit(&module, name, &jopts).expect("loop completes");
                 assert_eq!(out.generations_run, 1, "{name}@{seed}");
@@ -328,8 +306,8 @@ mod tests {
             seed: 701,
             ..PipelineOptions::default()
         };
-        let jopts = jit_options(&options, 6, 0.0);
-        let outcomes = jit_suite(None, &jopts, 4).expect("sweep completes");
+        let jopts = jit_options(&options, 6);
+        let outcomes = jit_suite(&Selection::all(), &jopts, 4).expect("sweep completes");
         assert_eq!(outcomes.len(), spec2000_suite().len());
         jit_gate(&outcomes).expect("convergence contract");
         let json = jit_json(&outcomes, &jopts);
@@ -358,9 +336,10 @@ mod tests {
             seed: 42,
             ..PipelineOptions::default()
         };
-        let jopts = jit_options(&options, 3, 0.0);
-        let a = jit_suite(Some("mcf"), &jopts, 1).expect("sequential");
-        let b = jit_suite(Some("mcf"), &jopts, 4).expect("parallel");
+        let jopts = jit_options(&options, 3);
+        let mcf = Selection::of(&["mcf"]).unwrap();
+        let a = jit_suite(&mcf, &jopts, 1).expect("sequential");
+        let b = jit_suite(&mcf, &jopts, 4).expect("parallel");
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.bench, y.bench);
@@ -382,8 +361,9 @@ mod tests {
             seed: 7,
             ..PipelineOptions::default()
         };
-        let jopts = jit_options(&options, 3, 0.0);
-        let mut outcomes = jit_suite(Some("mcf"), &jopts, 1).expect("sweep");
+        let jopts = jit_options(&options, 3);
+        let mcf = Selection::of(&["mcf"]).unwrap();
+        let mut outcomes = jit_suite(&mcf, &jopts, 1).expect("sweep");
         outcomes[0].steady_state = false;
         let err = jit_gate(&outcomes).expect_err("gate trips");
         assert!(err.contains("mcf"), "{err}");

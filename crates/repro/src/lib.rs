@@ -6,10 +6,14 @@
 //! run → evaluate) and renders every table and figure of the paper's
 //! evaluation section.
 //!
-//! Use the `ppp-repro` binary:
+//! Use the `ppp-repro` binary (`ppp-repro --help` lists every subcommand
+//! with the flags it reads; see [`cli`]):
 //!
 //! ```text
-//! ppp-repro [--scale X] [--quick] table1|table2|fig9|fig10|fig11|fig12|fig13|all
+//! ppp-repro [--scale X] [--quick] [table1|table2|fig9|fig10|fig11|fig12|fig13|all]...
+//! ppp-repro inspect|trace BENCH [FLAGS]
+//! ppp-repro lint|validate|chaos|drift|predict|bench|jit|drive [BENCH[,BENCH...]] [FLAGS]
+//! ppp-repro serve [FLAGS] | top HOST:PORT [FLAGS]
 //! ```
 //!
 //! Besides the reports, `ppp-repro lint` checks every instrumentation
@@ -46,38 +50,34 @@ pub mod trace;
 
 pub use bench::{
     baseline_from_json, baseline_json, baseline_table, collect_baseline, compare_baselines,
-    regressions_json, regressions_table, wall_trends, wall_trends_json, wall_trends_table,
-    BenchBaseline, BenchProfilerRecord, BenchRecord, Regression, WallTrend, BASELINE_KIND,
+    regressions_json, regressions_table, wall_trends, wall_trends_table, BenchBaseline,
+    BenchProfilerRecord, BenchRecord, Regression, WallTrend, BASELINE_KIND,
     BASELINE_SCHEMA_VERSION,
 };
 pub use chaos::{
-    chaos_benchmark, chaos_json, chaos_prepared, chaos_scenario, chaos_suite, chaos_table,
-    ChaosOutcome, ChaosVerdict,
+    chaos_json, chaos_prepared, chaos_scenario, chaos_suite, chaos_table, ChaosOutcome,
+    ChaosVerdict,
 };
-pub use cli::ArgCursor;
 pub use degrade::{
     ingest_guidance, ingest_guidance_at, DegradationEvent, DegradationReport, LadderRung,
 };
 pub use drift::{
-    drift_benchmark, drift_json, drift_suite, drift_table, DriftOutcome, DriftScenario,
-    DRIFT_SCENARIOS,
+    drift_json, drift_suite, drift_table, DriftOutcome, DriftScenario, DRIFT_SCENARIOS,
 };
 pub use drive::{
     drive, drive_json, drive_table, serve, BenchDrive, DriveOptions, DriveReport, Quantiles,
     Transport,
 };
 pub use inspect::inspect_benchmark;
-pub use jit::{
-    jit_gate, jit_json, jit_options, jit_suite, jit_table, JIT_KIND, JIT_SCHEMA_VERSION,
-};
+pub use jit::{jit_gate, jit_json, jit_suite, jit_table, JIT_KIND, JIT_SCHEMA_VERSION};
 pub use pipeline::{
     lint_benchmark, pipeline_configs, prepare_benchmark, run_benchmark, run_prepared,
     validate_benchmark, BenchmarkRun, PipelineError, PipelineOptions, PreparedBenchmark,
-    ProfilerResult,
+    ProfilerResult, Selection,
 };
 pub use predict::{
-    predict_benchmark, predict_gate, predict_json, predict_prepared, predict_suite, predict_table,
-    PredictOutcome, WINS_REQUIRED,
+    predict_gate, predict_json, predict_prepared, predict_suite, predict_table, PredictOutcome,
+    WINS_REQUIRED,
 };
 pub use reports::{all_reports, fig10, fig11, fig12, fig13, fig9, run_suite, table1, table2};
 pub use top::{render_stats, top, TopOptions};

@@ -14,7 +14,7 @@ use ppp_opt::{
     InlineReport, UnrollOptions, UnrollReport,
 };
 use ppp_vm::{run, RunOptions, RunResult, VmError};
-use ppp_workloads::{generate, BenchClass, SuiteEntry};
+use ppp_workloads::{generate, spec2000_suite, BenchClass, SuiteEntry};
 
 use crate::degrade::{ingest_guidance, DegradationReport};
 use ppp_obs::Value;
@@ -708,10 +708,65 @@ pub fn instrument_and_run(
     (plan, r)
 }
 
+/// The benchmarks a suite sweep runs over, in suite order.
+///
+/// [`Selection::of`] is the one place a benchmark name is checked, so a
+/// sweep can never be handed a name it would silently skip.
+#[derive(Clone, Debug)]
+pub struct Selection(Vec<SuiteEntry>);
+
+impl Selection {
+    /// The whole 18-benchmark suite.
+    #[must_use]
+    pub fn all() -> Self {
+        Self(spec2000_suite())
+    }
+
+    /// The named benchmarks, in suite order whatever order they are
+    /// named in.
+    ///
+    /// # Errors
+    ///
+    /// `unknown benchmark "name"` for the first name not in the suite.
+    pub fn of<S: AsRef<str>>(names: &[S]) -> Result<Self, String> {
+        let suite = spec2000_suite();
+        let known = |name: &str| suite.iter().any(|e| e.spec.name == name);
+        if let Some(bad) = names.iter().map(AsRef::as_ref).find(|n| !known(n)) {
+            return Err(format!("unknown benchmark {bad:?}"));
+        }
+        let named = |e: &SuiteEntry| names.iter().any(|n| n.as_ref() == e.spec.name);
+        Ok(Self(suite.into_iter().filter(named).collect()))
+    }
+
+    /// The selected suite entries.
+    #[must_use]
+    pub fn entries(&self) -> &[SuiteEntry] {
+        &self.0
+    }
+}
+
+/// Runs `f` on every selected benchmark, announcing each as a
+/// `{tag}.progress` event, over `workers` threads.
+///
+/// Results come back in suite order whatever order the threads finish
+/// in, so a seed-deterministic `f` gives the same output at any worker
+/// count; `workers <= 1` runs sequentially on the calling thread.
+pub(crate) fn sweep<R, F>(tag: &str, selection: &Selection, workers: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&SuiteEntry) -> R + Sync,
+{
+    let event = format!("{tag}.progress");
+    ppp_agg::run_indexed(workers, selection.0.len(), |i| {
+        let entry = &selection.0[i];
+        ppp_obs::global().info(&event, &[("bench", Value::from(entry.spec.name.as_str()))]);
+        f(entry)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppp_workloads::spec2000_suite;
 
     fn tiny() -> PipelineOptions {
         PipelineOptions {
@@ -824,5 +879,32 @@ mod tests {
             run.orig.avg_insts,
             run.opt.avg_insts
         );
+    }
+
+    #[test]
+    fn selection_checks_names_and_keeps_suite_order() {
+        let names = |s: &Selection| -> Vec<String> {
+            s.entries().iter().map(|e| e.spec.name.clone()).collect()
+        };
+        assert_eq!(Selection::all().entries().len(), 18);
+        let picked = Selection::of(&["swim", "mcf", "mcf"]).expect("known names");
+        assert_eq!(names(&picked), ["mcf", "swim"], "suite order, no repeats");
+        assert_eq!(
+            Selection::of(&["mcf", "nosuch"]).unwrap_err(),
+            "unknown benchmark \"nosuch\""
+        );
+        assert!(
+            Selection::of(&[""]).is_err(),
+            "an empty name is not a benchmark"
+        );
+    }
+
+    #[test]
+    fn sweep_returns_results_in_suite_order_at_any_worker_count() {
+        let all = Selection::all();
+        let name = |e: &SuiteEntry| e.spec.name.clone();
+        let sequential = sweep("test", &all, 1, name);
+        assert_eq!(sweep("test", &all, 4, name), sequential);
+        assert_eq!(sequential.first().map(String::as_str), Some("vpr"));
     }
 }

@@ -23,13 +23,13 @@
 
 use crate::format::Table;
 use crate::pipeline::{
-    estimate_options, prepare_benchmark, PipelineError, PipelineOptions, PreparedBenchmark,
+    estimate_options, prepare_benchmark, sweep, PipelineError, PipelineOptions, PreparedBenchmark,
+    Selection,
 };
 use ppp_core::{accuracy, edge_profile_coverage, edge_profile_estimate, FlowKind};
 use ppp_est::{estimate_module, EstOptions};
 use ppp_ir::ModuleEdgeProfile;
 use ppp_lint::Code;
-use ppp_workloads::spec2000_suite;
 
 /// Suite-level gate: of 18 benchmarks, the heuristic estimate must
 /// strictly beat the uniform baseline on at least 14. Scaled
@@ -184,37 +184,18 @@ pub fn predict_prepared(prep: &PreparedBenchmark, options: &PipelineOptions) -> 
     outcome
 }
 
-/// Prepares one suite benchmark and scores its static estimates.
-pub fn predict_benchmark(
-    entry: &ppp_workloads::SuiteEntry,
-    options: &PipelineOptions,
-) -> Result<PredictOutcome, PipelineError> {
-    let prep = prepare_benchmark(entry, options)?;
-    Ok(predict_prepared(&prep, options))
-}
-
-/// Scores static-estimate quality across the suite (or one named
-/// benchmark). `options.workers > 1` fans benchmarks over threads;
-/// results are collected in suite order, so the output is byte-identical
-/// to a sequential sweep.
+/// Scores static-estimate quality across the selected benchmarks;
+/// the sweep collects in suite order, so the output is byte-identical
+/// at any `options.workers`.
 pub fn predict_suite(
-    bench: Option<&str>,
+    selection: &Selection,
     options: &PipelineOptions,
 ) -> Result<Vec<PredictOutcome>, PipelineError> {
-    let suite = spec2000_suite();
-    let entries: Vec<_> = suite
-        .iter()
-        .filter(|e| bench.is_none_or(|b| e.spec.name == b))
-        .collect();
-    let per_bench = ppp_agg::run_indexed(options.workers, entries.len(), |i| {
-        let entry = entries[i];
-        ppp_obs::global().info(
-            "predict.progress",
-            &[("bench", ppp_obs::Value::from(entry.spec.name.as_str()))],
-        );
-        predict_benchmark(entry, options)
-    });
-    per_bench.into_iter().collect()
+    sweep("predict", selection, options.workers, |entry| {
+        prepare_benchmark(entry, options).map(|prep| predict_prepared(&prep, options))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The suite-level verdict: every estimate conservative and enough
@@ -294,6 +275,7 @@ pub fn predict_json(outcomes: &[PredictOutcome], seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppp_workloads::spec2000_suite;
 
     fn tiny() -> PipelineOptions {
         PipelineOptions {
@@ -304,7 +286,8 @@ mod tests {
 
     #[test]
     fn predict_mcf_holds_invariants() {
-        let out = predict_suite(Some("mcf"), &tiny()).expect("sweep completes");
+        let out =
+            predict_suite(&Selection::of(&["mcf"]).unwrap(), &tiny()).expect("sweep completes");
         assert_eq!(out.len(), 1);
         let o = &out[0];
         assert!(o.ok(), "not conservative: {o:?}");
@@ -323,8 +306,9 @@ mod tests {
     #[test]
     fn predict_is_deterministic() {
         let opts = tiny();
-        let a = predict_suite(Some("vpr"), &opts).expect("sweep completes");
-        let b = predict_suite(Some("vpr"), &opts).expect("sweep completes");
+        let vpr = Selection::of(&["vpr"]).unwrap();
+        let a = predict_suite(&vpr, &opts).expect("sweep completes");
+        let b = predict_suite(&vpr, &opts).expect("sweep completes");
         assert_eq!(predict_json(&a, 701), predict_json(&b, 701));
     }
 
@@ -345,7 +329,7 @@ mod tests {
             scale: 0.01,
             ..PipelineOptions::default()
         };
-        let out = predict_suite(None, &opts).expect("sweep completes");
+        let out = predict_suite(&Selection::all(), &opts).expect("sweep completes");
         assert_eq!(out.len(), spec2000_suite().len());
         assert!(predict_gate(&out), "gate failed:\n{}", predict_table(&out));
     }

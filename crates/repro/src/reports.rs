@@ -6,40 +6,32 @@
 //! `ppp-repro all` regenerates the entire evaluation in one pass.
 
 use crate::format::{f2, pct, pct_signed, Table};
-use crate::pipeline::{run_benchmark, BenchmarkRun, PipelineOptions};
-use ppp_workloads::{spec2000_suite, BenchClass};
+use crate::pipeline::{run_benchmark, sweep, BenchmarkRun, PipelineOptions, Selection};
+use ppp_workloads::BenchClass;
 
-/// Runs the whole 18-benchmark suite.
+/// Runs the whole 18-benchmark suite over `options.workers` threads
+/// (sequentially at the default of one).
 ///
 /// Progress goes to stderr (runs take seconds each at full scale).
+/// Failed benchmarks are reported through the observation sink and
+/// skipped.
 pub fn run_suite(options: &PipelineOptions) -> Vec<BenchmarkRun> {
-    let obs = ppp_obs::global();
-    let suite = spec2000_suite();
-    suite
-        .iter()
-        .filter_map(|e| {
-            obs.info(
-                "suite.progress",
-                &[("bench", ppp_obs::Value::from(e.spec.name.as_str()))],
+    let runs = sweep("suite", &Selection::all(), options.workers, |e| {
+        run_benchmark(e, options).inspect_err(|err| {
+            let obs = ppp_obs::global();
+            obs.metrics()
+                .inc("ppp_suite_errors_total", &[("bench", &e.spec.name)]);
+            obs.event(
+                ppp_obs::Level::Error,
+                "suite.benchmark_failed",
+                &[
+                    ("bench", ppp_obs::Value::from(e.spec.name.as_str())),
+                    ("error", ppp_obs::Value::from(err.to_string())),
+                ],
             );
-            match run_benchmark(e, options) {
-                Ok(run) => Some(run),
-                Err(err) => {
-                    obs.metrics()
-                        .inc("ppp_suite_errors_total", &[("bench", &e.spec.name)]);
-                    obs.event(
-                        ppp_obs::Level::Error,
-                        "suite.benchmark_failed",
-                        &[
-                            ("bench", ppp_obs::Value::from(e.spec.name.as_str())),
-                            ("error", ppp_obs::Value::from(err.to_string())),
-                        ],
-                    );
-                    None
-                }
-            }
         })
-        .collect()
+    });
+    runs.into_iter().flatten().collect()
 }
 
 fn class_rows(runs: &[BenchmarkRun], class: BenchClass) -> impl Iterator<Item = &BenchmarkRun> {
@@ -474,6 +466,7 @@ pub fn all_reports(runs: &[BenchmarkRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppp_workloads::spec2000_suite;
 
     fn tiny_runs() -> Vec<BenchmarkRun> {
         let suite = spec2000_suite();

@@ -3,7 +3,7 @@
 
 use ppp_repro::{
     baseline_from_json, baseline_json, collect_baseline, compare_baselines, run_benchmark,
-    PipelineOptions,
+    PipelineOptions, Selection,
 };
 use ppp_workloads::spec2000_suite;
 use std::sync::Mutex;
@@ -34,8 +34,8 @@ fn parallel_baseline_matches_sequential() {
         workers: 4,
         ..sequential
     };
-    let mut a = collect_baseline(None, &sequential);
-    let mut b = collect_baseline(None, &parallel);
+    let mut a = collect_baseline(&Selection::all(), &sequential);
+    let mut b = collect_baseline(&Selection::all(), &parallel);
     assert_eq!(b.benchmarks.len(), 18);
     assert!(
         compare_baselines(&a, &b, 0.0)
@@ -54,7 +54,7 @@ fn parallel_baseline_matches_sequential() {
 /// Figure 9–13 quantities.
 #[test]
 fn bench_json_covers_all_18_benchmarks() {
-    let baseline = collect_baseline(None, &tiny());
+    let baseline = collect_baseline(&Selection::all(), &tiny());
     let doc = baseline_json(&baseline);
     let back = baseline_from_json(&doc).expect("artifact parses");
     assert_eq!(back.schema_version, ppp_repro::BASELINE_SCHEMA_VERSION);
@@ -94,11 +94,11 @@ fn bench_json_covers_all_18_benchmarks() {
 #[test]
 fn injected_regression_fails_the_gate() {
     let entry_opts = tiny();
-    let old = collect_baseline(Some("mcf"), &entry_opts);
+    let old = collect_baseline(&Selection::of(&["mcf"]).unwrap(), &entry_opts);
     assert_eq!(old.benchmarks.len(), 1);
     // Same config, same seed: a re-run is identical in the gated
     // quantities, so the diff is clean.
-    let new = collect_baseline(Some("mcf"), &entry_opts);
+    let new = collect_baseline(&Selection::of(&["mcf"]).unwrap(), &entry_opts);
     assert!(
         compare_baselines(&old, &new, 0.10)
             .expect("comparable")
@@ -176,10 +176,10 @@ fn observation_sinks_do_not_change_measurements() {
     let options = tiny();
     let prev = ppp_obs::global();
     ppp_obs::install_global(ppp_obs::ObsCtx::noop());
-    let a = collect_baseline(Some("vpr"), &options);
+    let a = collect_baseline(&Selection::of(&["vpr"]).unwrap(), &options);
     let (ctx, _collect) = ppp_obs::ObsCtx::collecting();
     ppp_obs::install_global(ctx);
-    let b = collect_baseline(Some("vpr"), &options);
+    let b = collect_baseline(&Selection::of(&["vpr"]).unwrap(), &options);
     ppp_obs::install_global(prev);
     assert_eq!(a.benchmarks.len(), b.benchmarks.len());
     let (ra, rb) = (&a.benchmarks[0], &b.benchmarks[0]);
